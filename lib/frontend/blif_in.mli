@@ -1,7 +1,5 @@
-(** Full BLIF reader for arbitrary imported netlists.
-
-    Where {!Ee_export.Blif.of_blif} is the strict single-model LUT4
-    round-trip reader, this frontend accepts the BLIF that real tools dump:
+(** The BLIF reader, for the repo's own {!Ee_export.Blif.to_blif} output
+    and for the BLIF that real tools dump:
 
     - multiple [.model] blocks with [.subckt] instantiation, flattened
       recursively into one netlist (internal signals of an instance are

@@ -100,34 +100,21 @@ let of_pl ?(gate_delay = 1.0) ?(ee_overhead = 0.25) ?delays ?mode pl =
     | Guarded -> 0.
   in
   for i = 0 to n - 1 do
-    let g = gates.(i) in
-    (* Distinct producers, with the positions each one feeds (the trigger,
-       when present, is one more producer at pseudo-position -1) — mirrors
-       the per-pair arc sharing of [Stream_sim] and [Pl.to_marked_graph]. *)
-    let seen = Hashtbl.create 4 in
-    let order = ref [] in
-    let note src pos =
-      (match Hashtbl.find_opt seen src with
-      | None -> order := src :: !order
-      | Some _ -> ());
-      Hashtbl.replace seen src (pos :: Option.value ~default:[] (Hashtbl.find_opt seen src))
+    (* One data/feedback arc pair per distinct producer ([Pl.producers]).
+       A producer matters to the early C-element when it is the trigger or
+       feeds a subset position. *)
+    let early_relevant src =
+      match Pl.ee pl i with
+      | Some e ->
+          src = e.Pl.trigger
+          || Ee_util.Bits.fold_bits e.Pl.support
+               (fun acc p -> acc || gates.(i).Pl.fanin.(p) = src)
+               false
+      | None -> false
     in
-    Array.iteri (fun pos src -> note src pos) g.Pl.fanin;
-    (match Pl.ee pl i with
-    | Some e -> note e.Pl.trigger (-1)
-    | None -> ());
-    let producers = List.rev !order in
-    let subset_positions =
-      match Pl.ee pl i with Some e -> e.Pl.support | None -> 0
-    in
-    List.iter
+    Array.iter
       (fun src ->
-        let positions = Hashtbl.find seen src in
-        let data_tokens =
-          match gates.(src).Pl.kind with
-          | Pl.Register _ | Pl.Const_source _ -> 1
-          | _ -> 0
-        in
+        let data_tokens = if Pl.initial_token pl src = None then 0 else 1 in
         (* Data direction: producer's output event -> consumer firing. *)
         let src_ev = output_event.(src) in
         if split i then begin
@@ -137,13 +124,8 @@ let of_pl ?(gate_delay = 1.0) ?(ee_overhead = 0.25) ?delays ?mode pl =
              trigger token; under Eager the late inputs impose nothing,
              under Expected they impose their full constraint scaled by
              the probability the trigger stays silent. *)
-          let early_relevant =
-            List.exists
-              (fun p -> p = -1 || subset_positions land (1 lsl p) <> 0)
-              positions
-          in
           let p = prob i in
-          if early_relevant then
+          if early_relevant src then
             add src_ev output_event.(i)
               (ee_overhead +. ((1. -. p) *. base i))
               data_tokens
@@ -162,7 +144,7 @@ let of_pl ?(gate_delay = 1.0) ?(ee_overhead = 0.25) ?delays ?mode pl =
            wave (no feedback on a register's self-loop).  The acknowledge
            leaves at the completion event and constrains the producer's
            next firing — both of its events, when split. *)
-        if src <> i then begin
+        if Pl.has_feedback ~src ~dst:i then begin
           let fb_tokens = 1 - data_tokens in
           let ack_ev = complete_event.(i) in
           if split src then begin
@@ -174,7 +156,7 @@ let of_pl ?(gate_delay = 1.0) ?(ee_overhead = 0.25) ?delays ?mode pl =
           end
           else add ack_ev complete_event.(src) (full_delay src) fb_tokens
         end)
-      producers
+      (Pl.producers pl i)
   done;
   {
     graph = make ~nodes:events ~arcs:(List.rev !arcs);

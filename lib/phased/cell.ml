@@ -63,9 +63,7 @@ let eval_round t =
   ignore !all_high;
   if next_c <> t.c_state then begin
     (* Firing: latch the LUT output and the new phase. *)
-    let v = Array.make 4 false in
-    Array.iteri (fun k r -> v.(k) <- Ledr.value r) t.ins;
-    let value = Lut4.eval t.func v in
+    let value = Pl.eval_lut t.func t.ins Ledr.value in
     t.c_state <- next_c;
     t.latch_v <- value;
     (* output phase = gate phase (Figure 1): t rail = v XOR phase. *)

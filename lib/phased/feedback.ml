@@ -6,34 +6,16 @@ type analysis = {
   graph : Mg.t;
 }
 
-(* Rebuild the arc list of [Pl.to_marked_graph] but keep the feedback arcs
-   identifiable so they can be deleted one at a time. *)
+(* The arcs of [Pl.to_marked_graph], with the feedback arcs kept apart so
+   they can be deleted one at a time. *)
 let arcs_of pl =
-  let gates = Pl.gates pl in
-  let data = ref [] and feedback = ref [] in
-  Array.iteri
-    (fun i g ->
-      let seen = Hashtbl.create 4 in
-      let deps =
-        (match Pl.ee pl i with Some e -> [ e.Pl.trigger ] | None -> [])
-        @ Array.to_list g.Pl.fanin
-      in
-      List.iter
-        (fun src ->
-          if not (Hashtbl.mem seen src) then begin
-            Hashtbl.add seen src ();
-            let tok =
-              match gates.(src).Pl.kind with
-              | Pl.Register _ | Pl.Const_source _ -> 1
-              | _ -> 0
-            in
-            data := (src, i, tok) :: !data;
-            (* Self-loops carry their own token circuit; no feedback arc. *)
-            if src <> i then feedback := (i, src, 1 - tok) :: !feedback
-          end)
-        deps)
-    gates;
-  (List.rev !data, List.rev !feedback)
+  let pairs = Pl.pairs pl in
+  let tok src = if Pl.initial_token pl src = None then 0 else 1 in
+  ( List.map (fun (src, dst) -> (src, dst, tok src)) pairs,
+    List.filter_map
+      (fun (src, dst) ->
+        if Pl.has_feedback ~src ~dst then Some (dst, src, 1 - tok src) else None)
+      pairs )
 
 let analyze pl =
   let nodes = Array.length (Pl.gates pl) in

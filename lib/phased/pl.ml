@@ -28,6 +28,10 @@ type t = {
   sink_ids : int array;
   topo : int array;
   levels : int array;
+  producers : int array array; (* distinct producers: fanins, then the trigger *)
+  source_pos : int array; (* gate id -> input-vector index, -1 if not a source *)
+  sink_pos : int array; (* gate id -> output-vector index, -1 if not a sink *)
+  register_ids : int array;
 }
 
 let gates t = t.gates
@@ -51,6 +55,29 @@ let ee_gate_count t =
     0 t.gates
 
 let topo t = t.topo
+
+let producers t i = t.producers.(i)
+
+let source_pos t i = t.source_pos.(i)
+
+let sink_pos t i = t.sink_pos.(i)
+
+let register_ids t = t.register_ids
+
+let initial_token t i =
+  match t.gates.(i).kind with
+  | Register init -> Some init
+  | Const_source v -> Some v
+  | Source _ | Gate _ | Trigger _ | Sink _ -> None
+
+let has_feedback ~src ~dst = src <> dst
+
+let eval_lut func fanin value =
+  let m = ref 0 in
+  for k = 0 to Array.length fanin - 1 do
+    if value fanin.(k) then m := !m lor (1 lsl k)
+  done;
+  Lut4.eval_bits func !m
 
 let level t i = t.levels.(i)
 
@@ -119,10 +146,55 @@ let compute_levels gates topo =
     topo;
   levels
 
+(* One data arc and one feedback arc per distinct producer/consumer pair
+   (§2): a gate's producers are its distinct fanins, then its EE trigger
+   (§3), which is never also a fanin since triggers are appended after
+   every gate a master can read. *)
+let compute_producers gates ee i =
+  let fanin = gates.(i).fanin in
+  let all = match ee.(i) with Some e -> Array.append fanin [| e.trigger |] | None -> fanin in
+  (* At most five entries: a quadratic scan, sharing [all] when no entry
+     repeats. *)
+  let repeats = ref false in
+  for k = 1 to Array.length all - 1 do
+    for j = 0 to k - 1 do
+      if all.(j) = all.(k) then repeats := true
+    done
+  done;
+  if not !repeats then all
+  else
+    Array.of_list
+      (List.rev
+         (Array.fold_left (fun acc s -> if List.mem s acc then acc else s :: acc) [] all))
+
+let register_ids_of gates =
+  let ids = ref [] in
+  for i = Array.length gates - 1 downto 0 do
+    match gates.(i).kind with Register _ -> ids := i :: !ids | _ -> ()
+  done;
+  Array.of_list !ids
+
+let positions n ids =
+  let pos = Array.make n (-1) in
+  Array.iteri (fun k id -> pos.(id) <- k) ids;
+  pos
+
 let build gates_arr ee source_ids sink_ids =
+  let n = Array.length gates_arr in
   let topo = compute_topo gates_arr ee in
   let levels = compute_levels gates_arr topo in
-  { gates = gates_arr; ee; source_ids; sink_ids; topo; levels }
+  {
+    gates = gates_arr;
+    ee;
+    source_ids;
+    sink_ids;
+    topo;
+    levels;
+    producers = Array.init n (compute_producers gates_arr ee);
+    source_pos = positions n source_ids;
+    sink_pos = positions n sink_ids;
+    register_ids = register_ids_of gates_arr;
+  }
 
 let of_netlist nl =
   let n = Netlist.node_count nl in
@@ -284,39 +356,31 @@ let strip_ee t =
   let gates_arr = Array.sub t.gates 0 n in
   build gates_arr (Array.make n None) t.source_ids t.sink_ids
 
+(* Data arcs (producer, consumer) in marked-graph arc order: consumers
+   ascending, a master's efire arc before its fanin arcs.  The order fixes
+   the arc numbering, and so which token-free cycle a stall diagnosis
+   reports and which feedback arcs a greedy removal tries first. *)
+let pairs t =
+  List.concat
+    (List.init (Array.length t.gates) (fun i ->
+         let ps = Array.to_list t.producers.(i) in
+         let ps =
+           match t.ee.(i) with
+           | Some e -> e.trigger :: List.filter (( <> ) e.trigger) ps
+           | None -> ps
+         in
+         List.map (fun src -> (src, i)) ps))
+
 let to_marked_graph t =
-  let n = Array.length t.gates in
-  let arcs = ref [] in
-  let add_pair src dst =
-    let data_tok =
-      match t.gates.(src).kind with
-      | Register _ | Const_source _ -> 1
-      | Source _ | Gate _ | Trigger _ | Sink _ -> 0
-    in
-    if src = dst then
-      (* A register consuming its own output: the marked data self-loop is
-         already a one-token circuit; a complementary feedback self-arc
-         would be a token-free cycle (deadlock). *)
-      arcs := (src, dst, data_tok) :: !arcs
-    else arcs := (src, dst, data_tok) :: (dst, src, 1 - data_tok) :: !arcs
+  let arcs =
+    List.fold_left
+      (fun acc (src, dst) ->
+        let tok = if initial_token t src = None then 0 else 1 in
+        if has_feedback ~src ~dst then (src, dst, tok) :: (dst, src, 1 - tok) :: acc
+        else (src, dst, tok) :: acc)
+      [] (pairs t)
   in
-  for i = 0 to n - 1 do
-    let seen = Hashtbl.create 4 in
-    (* For the token graph every fanin matters (unlike [wave_deps], which
-       only orders combinational firing), plus the trigger's efire edge. *)
-    let all =
-      (match t.ee.(i) with Some e -> [ e.trigger ] | None -> [])
-      @ Array.to_list t.gates.(i).fanin
-    in
-    List.iter
-      (fun src ->
-        if not (Hashtbl.mem seen src) then begin
-          Hashtbl.add seen src ();
-          add_pair src i
-        end)
-      all
-  done;
-  Marked_graph.make ~nodes:n ~arcs:!arcs
+  Marked_graph.make ~nodes:(Array.length t.gates) ~arcs
 
 let to_dot t =
   let buf = Buffer.create 1024 in

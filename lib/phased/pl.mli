@@ -75,6 +75,44 @@ val arrival : t -> int -> int
     the [Mmax/Tmax] ratio defined when a trigger is fed directly by
     inputs. *)
 
+(** {1 Token flow}
+
+    The PL mapping's structure, computed once per netlist: one data arc
+    and one complementary feedback arc per distinct producer/consumer pair
+    (paper §2), an EE master also reading its trigger (§3).  The simulators
+    and the timed event graph are firing rules over it. *)
+
+val producers : t -> int -> int array
+(** A gate's distinct producers: its fanins in first-appearance order, then
+    its trigger if it is a master (last, and never also a fanin). *)
+
+val initial_token : t -> int -> bool option
+(** The token a gate's data arcs start with: [Some] reset or constant value
+    for registers and constant sources (marked), [None] otherwise.  The
+    pair's feedback arc carries the complementary marking. *)
+
+val has_feedback : src:int -> dst:int -> bool
+(** Every pair gets a feedback arc except a register reading itself: its
+    marked data self-loop is already a one-token circuit, and a feedback
+    self-arc would be a token-free cycle (deadlock). *)
+
+val pairs : t -> (int * int) list
+(** Every (producer, consumer) pair in {!to_marked_graph}'s arc order:
+    consumers ascending, a master's trigger before its fanins. *)
+
+val source_pos : t -> int -> int
+(** A source's index in the input vector ([-1] for other gates). *)
+
+val sink_pos : t -> int -> int
+(** A sink's index in the output vector ([-1] for other gates). *)
+
+val register_ids : t -> int array
+(** Register gates, ascending. *)
+
+val eval_lut : Ee_logic.Lut4.t -> 'a array -> ('a -> bool) -> bool
+(** [eval_lut func fanin value]: [func] at the minterm whose bit [k] is
+    [value fanin.(k)], without allocating. *)
+
 type ee_info_request = {
   req_support : int;
   req_func : Ee_logic.Lut4.t;

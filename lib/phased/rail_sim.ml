@@ -1,4 +1,3 @@
-module Lut4 = Ee_logic.Lut4
 module Marked_graph = Ee_markedgraph.Marked_graph
 
 exception Protocol_violation of string
@@ -42,12 +41,21 @@ type t = {
   rails : Ledr.rails array; (* output wire pair per gate *)
   gate_phase : Ledr.phase array;
   reg_state : bool array;
-  source_pos : (int, int) Hashtbl.t;
   mutable wave_phase : Ledr.phase; (* phase carried by the NEXT wave's tokens *)
   mutable wave_no : int; (* waves applied so far; the hooks' wave index *)
 }
 
 let violation fmt = Printf.ksprintf (fun s -> raise (Protocol_violation s)) fmt
+
+let reset t =
+  Array.fill t.reg_state 0 (Array.length t.reg_state) false;
+  Array.iter
+    (fun i -> t.reg_state.(i) <- Option.get (Pl.initial_token t.pl i))
+    (Pl.register_ids t.pl);
+  Array.fill t.rails 0 (Array.length t.rails) (Ledr.encode ~value:false ~phase:Ledr.Even);
+  Array.fill t.gate_phase 0 (Array.length t.gate_phase) Ledr.Even;
+  t.wave_phase <- Ledr.Odd;
+  t.wave_no <- 0
 
 let create ?(hooks = no_hooks) ?delays pl =
   let n = Array.length (Pl.gates pl) in
@@ -61,35 +69,20 @@ let create ?(hooks = no_hooks) ?delays pl =
           d;
         Array.copy d
   in
-  let reg_state = Array.make n false in
-  Array.iteri
-    (fun i g -> match g.Pl.kind with Pl.Register init -> reg_state.(i) <- init | _ -> ())
-    (Pl.gates pl);
-  let source_pos = Hashtbl.create 16 in
-  Array.iteri (fun k id -> Hashtbl.replace source_pos id k) (Pl.source_ids pl);
-  {
-    pl;
-    hooks;
-    delays;
-    rails = Array.make n (Ledr.encode ~value:false ~phase:Ledr.Even);
-    gate_phase = Array.make n Ledr.Even;
-    reg_state;
-    source_pos;
-    wave_phase = Ledr.Odd;
-    wave_no = 0;
-  }
-
-let reset t =
-  Array.iteri
-    (fun i g ->
-      (match g.Pl.kind with
-      | Pl.Register init -> t.reg_state.(i) <- init
-      | _ -> t.reg_state.(i) <- false);
-      t.rails.(i) <- Ledr.encode ~value:false ~phase:Ledr.Even;
-      t.gate_phase.(i) <- Ledr.Even)
-    (Pl.gates t.pl);
-  t.wave_phase <- Ledr.Odd;
-  t.wave_no <- 0
+  let t =
+    {
+      pl;
+      hooks;
+      delays;
+      rails = Array.make n (Ledr.encode ~value:false ~phase:Ledr.Even);
+      gate_phase = Array.make n Ledr.Even;
+      reg_state = Array.make n false;
+      wave_phase = Ledr.Odd;
+      wave_no = 0;
+    }
+  in
+  reset t;
+  t
 
 (* Latch a new value into a gate's output pair.  The rails actually driven
    pass through the [on_latch] hook: an unfaulted latch is self-checked for
@@ -128,15 +121,12 @@ let stalled_marking t mg =
     | Pl.Source _ | Pl.Const_source _ | Pl.Register _ -> true
   in
   let fresh i = Ledr.phase t.rails.(i) = wave in
-  let dep_of d s =
-    Array.exists (( = ) s) gates.(d).Pl.fanin
-    || (match Pl.ee t.pl d with Some e -> e.Pl.trigger = s | None -> false)
-  in
   let counts =
     Array.map
       (fun (s, d, tok0) ->
         if s = d then tok0 (* register self-loop keeps its state token *)
-        else if dep_of d s then if fired s && fresh s && not (fired d) then 1 else 0
+        else if Array.mem s (Pl.producers t.pl d) then
+          if fired s && fresh s && not (fired d) then 1 else 0
         else if (* feedback arc d->s, with s the consumer of d's data *)
           fired s || not (fired d) then 1
         else 0)
@@ -148,11 +138,11 @@ let diagnose_stall t ~unfired =
   let gates = Pl.gates t.pl in
   let wave = t.wave_phase in
   let stale i = Ledr.phase t.rails.(i) <> wave in
-  let deps i =
-    (match Pl.ee t.pl i with Some e -> [ e.Pl.trigger ] | None -> [])
-    @ Array.to_list gates.(i).Pl.fanin
+  let waiting_on =
+    List.map
+      (fun i -> (i, List.filter stale (Array.to_list (Pl.producers t.pl i))))
+      unfired
   in
-  let waiting_on = List.map (fun i -> (i, List.filter stale (deps i))) unfired in
   let unfired_set = Hashtbl.create 16 in
   List.iter (fun i -> Hashtbl.replace unfired_set i ()) unfired;
   (* A root stalls without any stale input of its own: the gate a fault
@@ -191,18 +181,16 @@ let apply t vector =
   if Array.length vector <> Array.length (Pl.source_ids t.pl) then
     invalid_arg "Rail_sim.apply: wrong vector length";
   (* Environment and token-holding gates emit the new wave's tokens. *)
+  let emit i v =
+    latch t i v;
+    t.gate_phase.(i) <- wave
+  in
   Array.iteri
     (fun i g ->
       match g.Pl.kind with
-      | Pl.Source _ ->
-          latch t i vector.(Hashtbl.find t.source_pos i);
-          t.gate_phase.(i) <- wave
-      | Pl.Const_source v ->
-          latch t i v;
-          t.gate_phase.(i) <- wave
-      | Pl.Register _ ->
-          latch t i t.reg_state.(i);
-          t.gate_phase.(i) <- wave
+      | Pl.Source _ -> emit i vector.(Pl.source_pos t.pl i)
+      | Pl.Const_source v -> emit i v
+      | Pl.Register _ -> emit i t.reg_state.(i)
       | Pl.Gate _ | Pl.Trigger _ | Pl.Sink _ -> ())
     gates;
   (* Fire combinational gates with the Muller-C rule until quiescent.  The
@@ -220,11 +208,8 @@ let apply t vector =
   let input_phase_ok i =
     Array.for_all (fun f -> Ledr.phase t.rails.(f) = wave) gates.(i).Pl.fanin
   in
-  let eval_gate func fanin =
-    let v = Array.make 4 false in
-    Array.iteri (fun k f -> v.(k) <- Ledr.value t.rails.(f)) fanin;
-    Lut4.eval func v
-  in
+  let value f = Ledr.value t.rails.(f) in
+  let eval_gate func fanin = Pl.eval_lut func fanin value in
   let round = ref 0 in
   let progress = ref true in
   let max_rounds = Array.fold_left ( + ) (n + 2) t.delays in

@@ -76,8 +76,9 @@ type stall = {
   stall_wave : int;  (** Wave index (0-based) at which the wave stalled. *)
   unfired : int list;  (** Combinational gates that never fired. *)
   waiting_on : (int * int list) list;
-      (** Each unfired gate with the fanins (and trigger) still carrying
-          the previous wave's phase. *)
+      (** Each unfired gate with its producers ({!Pl.producers}: distinct
+          fanins, then the trigger) still carrying the previous wave's
+          phase. *)
   roots : int list;
       (** Unfired gates none of whose stale inputs is itself unfired — the
           gates a fault stopped directly, as opposed to downstream

@@ -27,7 +27,8 @@
     [gate_delay], [ee_overhead], [selection] = ["eq1"]|["mcr"]); omitted
     knobs default to {!Ee_engine.Engine.default_spec}.  [synth] takes its
     netlist either from ["bench"] (an ITC99 id) or from ["blif"] (inline
-    BLIF text, parsed with {!Ee_export.Blif.parse}).
+    BLIF text, read by the same full-dialect reader as [import]:
+    {!Ee_frontend.Frontend.parse} with [~format:Blif]).
 
     [import] runs the arbitrary-netlist frontend: ["text"] holds the file
     contents (full-dialect BLIF or ASCII/binary AIGER), optionally

@@ -338,7 +338,7 @@ let compute ~trace ~cache (req : Protocol.request) =
               in
               with_cache cache key (fun () -> synth_bench_json ?trace ~spec ~search b))
       | `Blif text -> (
-          match Blif.parse text with
+          match Ee_frontend.Frontend.parse ~format:Ee_frontend.Frontend.Blif text with
           | Error e -> raise (Reject ("bad_request", e))
           | Ok nl ->
               with_trace trace ~bench:"netlist" "synth" (fun () ->

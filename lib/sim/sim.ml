@@ -1,5 +1,4 @@
 module Pl = Ee_phased.Pl
-module Lut4 = Ee_logic.Lut4
 
 type config = { gate_delay : float; ee_overhead : float }
 
@@ -17,119 +16,117 @@ type t = {
   config : config;
   delays : float array; (* per-gate firing latency *)
   state : bool array; (* register values, indexed by gate id *)
-  source_pos : (int, int) Hashtbl.t; (* gate id -> vector index *)
   values : bool array; (* scratch, per wave *)
-  times : float array; (* scratch, per wave *)
+  times : float array; (* scratch, per wave; 0 for token holders *)
 }
+
+let reset t =
+  Array.fill t.state 0 (Array.length t.state) false;
+  Array.iter
+    (fun i -> t.state.(i) <- Option.get (Pl.initial_token t.pl i))
+    (Pl.register_ids t.pl)
 
 let create_with_delays ?(config = default_config) ~delays pl =
   let n = Array.length (Pl.gates pl) in
   if Array.length delays <> n then invalid_arg "Sim.create_with_delays: delay count";
-  let state = Array.make n false in
-  Array.iteri
-    (fun i g -> match g.Pl.kind with Pl.Register init -> state.(i) <- init | _ -> ())
-    (Pl.gates pl);
-  let source_pos = Hashtbl.create 16 in
-  Array.iteri (fun k id -> Hashtbl.replace source_pos id k) (Pl.source_ids pl);
-  {
-    pl;
-    config;
-    delays = Array.copy delays;
-    state;
-    source_pos;
-    values = Array.make n false;
-    times = Array.make n 0.;
-  }
+  let t =
+    {
+      pl;
+      config;
+      delays = Array.copy delays;
+      state = Array.make n false;
+      values = Array.make n false;
+      times = Array.make n 0.;
+    }
+  in
+  reset t;
+  t
 
 let create ?(config = default_config) pl =
   create_with_delays ~config
     ~delays:(Array.make (Array.length (Pl.gates pl)) config.gate_delay)
     pl
 
-let reset t =
-  Array.iteri
-    (fun i g ->
-      match g.Pl.kind with Pl.Register init -> t.state.(i) <- init | _ -> t.state.(i) <- false)
-    (Pl.gates t.pl)
+(* [Stdlib.max]/[min] at type float: compared unboxed, so a wave allocates
+   nothing per gate. *)
+let fmax (a : float) b = if a >= b then a else b
 
-let eval_gate values func fanin =
-  let v = Array.make 4 false in
-  Array.iteri (fun k f -> v.(k) <- values.(f)) fanin;
-  Lut4.eval func v
+let fmin (a : float) b = if a <= b then a else b
+
+(* times.(i) <- latest arrival over [fanin] (0 when there is none). *)
+let store_arrival times i fanin =
+  let latest = ref 0. in
+  for k = 0 to Array.length fanin - 1 do
+    latest := fmax !latest times.(fanin.(k))
+  done;
+  times.(i) <- !latest
 
 let apply t vector =
-  let gates = Pl.gates t.pl in
+  let pl = t.pl in
+  let gates = Pl.gates pl in
   let cfg = t.config in
-  if Array.length vector <> Array.length (Pl.source_ids t.pl) then
+  if Array.length vector <> Array.length (Pl.source_ids pl) then
     invalid_arg "Sim.apply: wrong vector length";
-  let values = t.values and times = t.times in
+  let values = t.values and times = t.times and delays = t.delays in
+  let value f = values.(f) in
   let settle = ref 0. in
   let early = ref 0 in
-  let fanin_arrival fanin =
-    Array.fold_left (fun acc f -> max acc times.(f)) 0. fanin
-  in
-  Array.iter
-    (fun i ->
-      let g = gates.(i) in
-      (match g.Pl.kind with
-      | Pl.Source _ ->
-          values.(i) <- vector.(Hashtbl.find t.source_pos i);
-          times.(i) <- 0.
-      | Pl.Const_source v ->
-          values.(i) <- v;
-          times.(i) <- 0.
-      | Pl.Register _ ->
-          values.(i) <- t.state.(i);
-          times.(i) <- 0.
-      | Pl.Trigger { func; _ } ->
-          values.(i) <- eval_gate values func g.Pl.fanin;
-          times.(i) <- fanin_arrival g.Pl.fanin +. t.delays.(i);
-          settle := max !settle times.(i)
-      | Pl.Gate func ->
-          values.(i) <- eval_gate values func g.Pl.fanin;
-          let normal = fanin_arrival g.Pl.fanin +. t.delays.(i) in
-          (match Pl.ee t.pl i with
-          | None ->
-              times.(i) <- normal;
-              settle := max !settle normal
-          | Some e ->
-              let trig_time = times.(e.Pl.trigger) in
-              let guarded = max normal (trig_time +. t.delays.(i)) +. cfg.ee_overhead in
-              let fire_time =
-                if values.(e.Pl.trigger) then begin
-                  let early_time = trig_time +. cfg.ee_overhead in
-                  if early_time < guarded then incr early;
-                  min guarded early_time
-                end
-                else guarded
-              in
-              times.(i) <- fire_time;
-              (* The master's late input tokens must still be absorbed before
-                 the wave is over, even when the output fired early. *)
-              settle := max !settle (max fire_time (fanin_arrival g.Pl.fanin)))
-      | Pl.Sink _ ->
-          values.(i) <- values.(g.Pl.fanin.(0));
-          times.(i) <- times.(g.Pl.fanin.(0));
-          settle := max !settle times.(i)))
-    (Pl.topo t.pl);
-  (* Registers fire on their D arrival, producing the next wave's token. *)
-  Array.iteri
-    (fun i g ->
-      match g.Pl.kind with
-      | Pl.Register _ ->
-          let d = g.Pl.fanin.(0) in
-          settle := max !settle (times.(d) +. t.delays.(i))
-      | _ -> ())
-    gates;
-  let sink_ids = Pl.sink_ids t.pl in
-  let outputs = Array.map (fun s -> values.(s)) sink_ids in
-  let output_time = Array.fold_left (fun acc s -> max acc times.(s)) 0. sink_ids in
-  (* Commit register state after all reads. *)
-  Array.iteri
-    (fun i g ->
-      match g.Pl.kind with Pl.Register _ -> t.state.(i) <- values.(g.Pl.fanin.(0)) | _ -> ())
-    gates;
-  { outputs; output_time; settle_time = !settle; early_fires = !early }
+  let topo = Pl.topo pl in
+  for j = 0 to Array.length topo - 1 do
+    let i = topo.(j) in
+    let g = gates.(i) in
+    match g.Pl.kind with
+    (* Token holders start every wave at time 0, which [times] keeps. *)
+    | Pl.Source _ -> values.(i) <- vector.(Pl.source_pos pl i)
+    | Pl.Const_source v -> values.(i) <- v
+    | Pl.Register _ -> values.(i) <- t.state.(i)
+    | Pl.Gate func | Pl.Trigger { func; _ } -> (
+        values.(i) <- Pl.eval_lut func g.Pl.fanin value;
+        store_arrival times i g.Pl.fanin;
+        let arrival = times.(i) in
+        let normal = arrival +. delays.(i) in
+        match Pl.ee pl i with
+        | None ->
+            times.(i) <- normal;
+            settle := fmax !settle normal
+        | Some e ->
+            let trig_time = times.(e.Pl.trigger) in
+            let guarded = fmax normal (trig_time +. delays.(i)) +. cfg.ee_overhead in
+            let fire_time =
+              if values.(e.Pl.trigger) then begin
+                let early_time = trig_time +. cfg.ee_overhead in
+                if early_time < guarded then incr early;
+                fmin guarded early_time
+              end
+              else guarded
+            in
+            times.(i) <- fire_time;
+            (* The master's late input tokens must still be absorbed before
+               the wave is over, even when the output fired early. *)
+            settle := fmax !settle (fmax fire_time arrival))
+    | Pl.Sink _ ->
+        values.(i) <- values.(g.Pl.fanin.(0));
+        times.(i) <- times.(g.Pl.fanin.(0));
+        settle := fmax !settle times.(i)
+  done;
+  (* Registers fire on their D arrival, capturing the next wave's token. *)
+  let registers = Pl.register_ids pl in
+  for j = 0 to Array.length registers - 1 do
+    let d = gates.(registers.(j)).Pl.fanin.(0) in
+    settle := fmax !settle (times.(d) +. delays.(registers.(j)));
+    t.state.(registers.(j)) <- values.(d)
+  done;
+  let sink_ids = Pl.sink_ids pl in
+  let output_time = ref 0. in
+  for k = 0 to Array.length sink_ids - 1 do
+    output_time := fmax !output_time times.(sink_ids.(k))
+  done;
+  {
+    outputs = Array.map value sink_ids;
+    output_time = !output_time;
+    settle_time = !settle;
+    early_fires = !early;
+  }
 
 let probe t = (Array.copy t.values, Array.copy t.times)
 

@@ -1,5 +1,4 @@
 module Pl = Ee_phased.Pl
-module Lut4 = Ee_logic.Lut4
 
 type config = { gate_delay : float; ee_overhead : float }
 
@@ -18,16 +17,15 @@ exception Unsafe of string
 
 type token = { time : float; value : bool }
 
-type arc = {
-  src : int;
-  dst : int;
-  is_data : bool;
-  mutable slot : token option;
-}
+type arc = { src : int; dst : int; is_data : bool; mutable marked : bool }
 
 (* Because the marked graph is safe, every arc is a capacity-one FIFO and
    the untimed token game order coincides with the timed order; tokens carry
-   timestamps, so gates may be processed from a worklist in any order. *)
+   timestamps, so gates may be processed from a worklist in any order.
+   Safety also means a gate cannot fire again before every token it sent
+   has been consumed, so the token on a data arc is its producer's latest
+   output and the token on a feedback arc its consumer's latest
+   acknowledge: arcs only record whether they are marked. *)
 let run ?(config = default_config) ?delays pl ~vectors =
   let gates = Pl.gates pl in
   let n = Array.length gates in
@@ -38,162 +36,115 @@ let run ?(config = default_config) ?delays pl ~vectors =
   let delay i =
     match delays with Some d -> d.(i) | None -> config.gate_delay
   in
-  let arcs = ref [] in
-  let n_arcs = ref 0 in
+  let out_value = Array.make n false in
+  let out_time = Array.make n 0. in
+  let ack_time = Array.make n 0. in
+  let token_time a = if a.is_data then out_time.(a.src) else ack_time.(a.src) in
   let in_arcs = Array.make n [] in
   let out_data = Array.make n [] in
   let out_feedback = Array.make n [] in
-  let add_arc src dst is_data initial =
-    let a = { src; dst; is_data; slot = initial } in
-    arcs := a :: !arcs;
-    incr n_arcs;
+  let add_arc src dst is_data marked =
+    let a = { src; dst; is_data; marked } in
     in_arcs.(dst) <- a :: in_arcs.(dst);
     if is_data then out_data.(src) <- a :: out_data.(src)
-    else out_feedback.(src) <- a :: out_feedback.(src);
-    a
+    else out_feedback.(src) <- a :: out_feedback.(src)
   in
-  (* Per-gate map from fanin position to its data arc (ee trigger arc is
-     tracked separately). *)
-  let fanin_arcs = Array.make n [||] in
-  let efire_arc = Array.make n None in
+  (* One data arc per distinct producer/consumer pair, marked when the
+     producer holds an initial token, and its complementary feedback arc. *)
   for i = 0 to n - 1 do
-    let seen = Hashtbl.create 4 in
-    let arc_for src =
-      match Hashtbl.find_opt seen src with
-      | Some a -> a
-      | None ->
-          let initial =
-            match gates.(src).Pl.kind with
-            | Pl.Register init -> Some { time = 0.; value = init }
-            | Pl.Const_source v -> Some { time = 0.; value = v }
-            | _ -> None
-          in
-          let a = add_arc src i true initial in
-          (* Complementary feedback arc: marked iff the data arc is not.
-             Self-loops (a register reading itself) need none — the marked
-             data arc is already the one-token circuit. *)
-          if src <> i then begin
-            let fb_initial =
-              if initial = None then Some { time = 0.; value = false } else None
-            in
-            ignore (add_arc i src false fb_initial)
-          end;
-          Hashtbl.replace seen src a;
-          a
-    in
-    fanin_arcs.(i) <- Array.map arc_for gates.(i).Pl.fanin;
-    match Pl.ee pl i with
-    | Some e -> efire_arc.(i) <- Some (arc_for e.Pl.trigger)
-    | None -> ()
+    Option.iter (fun v -> out_value.(i) <- v) (Pl.initial_token pl i);
+    Array.iter
+      (fun src ->
+        let marked = Pl.initial_token pl src <> None in
+        add_arc src i true marked;
+        if Pl.has_feedback ~src ~dst:i then add_arc i src false (not marked))
+      (Pl.producers pl i)
   done;
   (* Environment state: every source gate injects the same wave sequence,
      each tracking its own wave cursor (sources are acknowledged
      independently, so their cursors can be out of step transiently). *)
   let vector_arr = Array.of_list vectors in
-  let source_pos = Hashtbl.create 16 in
-  Array.iteri (fun k id -> Hashtbl.replace source_pos id k) (Pl.source_ids pl);
   let source_wave = Array.make n 0 in
   let sink_ids = Pl.sink_ids pl in
   let total_waves = List.length vectors in
   let sink_records = Array.map (fun _ -> Queue.create ()) sink_ids in
-  let sink_index = Hashtbl.create 8 in
-  Array.iteri (fun k id -> Hashtbl.replace sink_index id k) sink_ids;
   let early_fires = ref 0 in
   (* Worklist processing. *)
   let queue = Queue.create () in
   let queued = Array.make n false in
-  let enabled i = List.for_all (fun a -> a.slot <> None) in_arcs.(i) in
+  let enabled i = List.for_all (fun a -> a.marked) in_arcs.(i) in
   let enqueue i =
     if (not queued.(i)) && enabled i then begin
       queued.(i) <- true;
       Queue.push i queue
     end
   in
-  let deposit a (tok : token) =
-    (match a.slot with
-    | Some _ ->
-        raise
-          (Unsafe
-             (Printf.sprintf "arc %d -> %d received a second token" a.src a.dst))
-    | None -> a.slot <- Some tok);
+  let deposit a =
+    if a.marked then
+      raise (Unsafe (Printf.sprintf "arc %d -> %d received a second token" a.src a.dst));
+    a.marked <- true;
     enqueue a.dst
   in
-  let take a =
-    match a.slot with
-    | Some tok ->
-        a.slot <- None;
-        tok
-    | None -> assert false
-  in
+  let value_of f = out_value.(f) in
   let fire i =
     queued.(i) <- false;
     if enabled i then begin
       let g = gates.(i) in
-      (* Gather and clear all input tokens. *)
-      let fanin_tokens = Array.map (fun a -> Option.get a.slot) fanin_arcs.(i) in
-      let trigger_token = Option.map (fun a -> Option.get a.slot) efire_arc.(i) in
-      let t_all =
-        List.fold_left (fun acc a -> max acc (Option.get a.slot).time) 0. in_arcs.(i)
-      in
+      let t_all = List.fold_left (fun acc a -> max acc (token_time a)) 0. in_arcs.(i) in
       (* Consumers' acknowledges bound any firing, early ones included: the
          output latch must be free before a new token can be emitted. *)
       let t_acks =
         List.fold_left
-          (fun acc a -> if a.is_data then acc else max acc (Option.get a.slot).time)
+          (fun acc a -> if a.is_data then acc else max acc (token_time a))
           0. in_arcs.(i)
       in
-      List.iter (fun a -> ignore (take a)) in_arcs.(i);
+      List.iter (fun a -> a.marked <- false) in_arcs.(i);
       let emit_output t_out value =
-        List.iter (fun a -> deposit a { time = t_out; value }) out_data.(i)
+        out_time.(i) <- t_out;
+        out_value.(i) <- value;
+        List.iter deposit out_data.(i)
       in
       let emit_feedback t =
-        List.iter (fun a -> deposit a { time = t; value = false }) out_feedback.(i)
+        ack_time.(i) <- t;
+        List.iter deposit out_feedback.(i)
       in
       (match g.Pl.kind with
       | Pl.Source _ ->
           let w = source_wave.(i) in
           if w < Array.length vector_arr then begin
             source_wave.(i) <- w + 1;
-            let value = vector_arr.(w).(Hashtbl.find source_pos i) in
-            emit_output t_all value;
+            emit_output t_all vector_arr.(w).(Pl.source_pos pl i);
             emit_feedback t_all
           end
       | Pl.Const_source v ->
           emit_output t_all v;
           emit_feedback t_all
       | Pl.Register _ ->
-          let d = fanin_tokens.(0) in
-          emit_output (t_all +. delay i) d.value;
+          emit_output (t_all +. delay i) out_value.(g.Pl.fanin.(0));
           emit_feedback (t_all +. delay i)
       | Pl.Sink _ ->
-          let d = fanin_tokens.(0) in
-          Queue.push d (sink_records.(Hashtbl.find sink_index i));
-          emit_feedback d.time
-      | Pl.Trigger { func; _ } ->
-          let v = Array.make 4 false in
-          Array.iteri (fun k tok -> v.(k) <- tok.value) fanin_tokens;
-          emit_output (t_all +. delay i) (Lut4.eval func v);
-          emit_feedback (t_all +. delay i)
-      | Pl.Gate func ->
-          let v = Array.make 4 false in
-          Array.iteri (fun k tok -> v.(k) <- tok.value) fanin_tokens;
-          let value = Lut4.eval func v in
+          let d = g.Pl.fanin.(0) in
+          Queue.push { time = out_time.(d); value = out_value.(d) }
+            sink_records.(Pl.sink_pos pl i);
+          emit_feedback out_time.(d)
+      | Pl.Gate func | Pl.Trigger { func; _ } ->
+          let value = Pl.eval_lut func g.Pl.fanin value_of in
+          let ee = Pl.ee pl i in
           let t_complete =
-            t_all +. delay i
-            +. (if trigger_token = None then 0. else config.ee_overhead)
+            t_all +. delay i +. if ee = None then 0. else config.ee_overhead
           in
           let t_out =
-            match (trigger_token, Pl.ee pl i) with
-            | Some trig, Some e when trig.value ->
+            match ee with
+            | Some e when out_value.(e.Pl.trigger) ->
                 (* Early path: the subset tokens, the efire token and the
                    consumers' acknowledges gate the early C-element. *)
                 let t_subset =
                   Ee_util.Bits.fold_bits e.Pl.support
-                    (fun acc p -> max acc fanin_tokens.(p).time)
+                    (fun acc p -> max acc out_time.(g.Pl.fanin.(p)))
                     0.
                 in
                 let t_early =
-                  max (max t_subset trig.time) t_acks +. config.ee_overhead
+                  max (max t_subset out_time.(e.Pl.trigger)) t_acks +. config.ee_overhead
                 in
                 if t_early < t_complete then incr early_fires;
                 min t_early t_complete

@@ -256,6 +256,22 @@ let test_e2e_inline_blif () =
       let bad = send sock "{\"cmd\":\"synth\",\"blif\":\"garbage\"}" in
       check_error bad "bad_request")
 
+let test_e2e_inline_blif_subckt () =
+  with_server (fun sock ->
+      (* A two-model BLIF: [synth] reads inline text with the same reader as
+         [import], so [.subckt] hierarchy is flattened, not rejected. *)
+      let blif =
+        ".model top\\n.inputs a b c\\n.outputs y\\n.subckt and2 p=a q=b r=t\\n\
+         .names t c y\\n11 1\\n.end\\n\
+         .model and2\\n.inputs p q\\n.outputs r\\n.names p q r\\n11 1\\n.end\\n"
+      in
+      let r =
+        send sock (Printf.sprintf "{\"cmd\":\"synth\",\"blif\":\"%s\",\"vectors\":4}" blif)
+      in
+      check_status r "ok";
+      Alcotest.(check (option string)) "netlist row" (Some "netlist")
+        (Option.bind (get r [ "result"; "id" ]) Json.to_string_opt))
+
 let test_e2e_not_found_and_bad_line () =
   with_server (fun sock ->
       check_error (send sock "{\"cmd\":\"synth\",\"bench\":\"b99\"}") "not_found";
@@ -907,6 +923,7 @@ let suite =
       Alcotest.test_case "protocol rejects bad requests" `Quick test_protocol_rejects;
       Alcotest.test_case "e2e: synth + content-addressed cache" `Quick test_e2e_synth_and_cache;
       Alcotest.test_case "e2e: inline BLIF source" `Quick test_e2e_inline_blif;
+      Alcotest.test_case "e2e: inline BLIF with .subckt" `Quick test_e2e_inline_blif_subckt;
       Alcotest.test_case "e2e: search section + cache key" `Quick test_e2e_search_section;
       Alcotest.test_case "e2e: not_found / bad_request" `Quick test_e2e_not_found_and_bad_line;
       Alcotest.test_case "e2e: overload rejects, never queues unboundedly" `Quick

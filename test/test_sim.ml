@@ -163,6 +163,73 @@ let test_wrong_vector_length () =
   Alcotest.check_raises "length check" (Invalid_argument "Sim.apply: wrong vector length")
     (fun () -> ignore (Sim.apply sim [| true |]))
 
+let bench_pl id =
+  let nl =
+    Ee_rtl.Techmap.run_rtl ((Ee_bench_circuits.Itc99.find id).Ee_bench_circuits.Itc99.build ())
+  in
+  (nl, Pl.of_netlist nl)
+
+let random_vectors pl n seed =
+  let rng = Ee_util.Prng.create seed in
+  let width = Array.length (Pl.source_ids pl) in
+  List.init n (fun _ -> Ee_util.Prng.bool_vector rng width)
+
+(* Minor words one warm [Sim.apply] wave allocates beyond the output vector
+   it returns (one header word plus one word per sink). *)
+let words_per_wave pl =
+  let sim = Sim.create pl in
+  let vectors = Array.of_list (random_vectors pl 30 5) in
+  for k = 0 to 9 do
+    ignore (Sim.apply sim vectors.(k))
+  done;
+  let before = Gc.minor_words () in
+  for k = 10 to 29 do
+    ignore (Sim.apply sim vectors.(k))
+  done;
+  let words = (Gc.minor_words () -. before) /. 20. in
+  words -. float_of_int (Array.length (Pl.sink_ids pl) + 1)
+
+let test_apply_allocation_per_wave () =
+  (* b12 has about 1.5x b03's gates: equal words per wave means a wave
+     allocates nothing per gate. *)
+  let ee id = fst (Ee_core.Synth.run (snd (bench_pl id))) in
+  Alcotest.(check (float 0.)) "b03 and b12 allocate the same per wave"
+    (words_per_wave (ee "b03")) (words_per_wave (ee "b12"))
+
+let test_shared_triggers_b01_b13 () =
+  let options = { Ee_core.Synth.default_options with Ee_core.Synth.share_triggers = true } in
+  let merged = ref 0 in
+  for k = 1 to 13 do
+    let id = Printf.sprintf "b%02d" k in
+    let nl, pl = bench_pl id in
+    let pl_sh, report = Ee_core.Synth.run ~options pl in
+    merged := !merged + List.length report.Ee_core.Synth.inserted - Pl.ee_gate_count pl_sh;
+    Alcotest.(check bool) (id ^ " rail check") true
+      (Ee_phased.Rail_sim.run_check pl_sh nl ~vectors:20 ~seed:k);
+    let vectors = random_vectors pl_sh 20 k in
+    let stream = Ee_sim.Stream_sim.run pl_sh ~vectors in
+    let sim = Sim.create pl_sh in
+    List.iteri
+      (fun w vec ->
+        Alcotest.(check (array bool))
+          (Printf.sprintf "%s wave %d stream = sim" id w)
+          (Sim.apply sim vec).Sim.outputs stream.Ee_sim.Stream_sim.outputs.(w))
+      vectors;
+    let m = Ee_perf.Timed_graph.of_pl ~mode:Ee_perf.Timed_graph.Guarded pl_sh in
+    let projected =
+      Array.map
+        (fun (a : Ee_perf.Timed_graph.arc) ->
+          (m.Ee_perf.Timed_graph.event_gate.(a.src), m.Ee_perf.Timed_graph.event_gate.(a.dst), a.tokens))
+        m.Ee_perf.Timed_graph.graph.Ee_perf.Timed_graph.arcs
+    in
+    let sorted a = List.sort compare (Array.to_list a) in
+    Alcotest.(check (list (triple int int int)))
+      (id ^ " guarded event graph = marked graph")
+      (sorted (Ee_markedgraph.Marked_graph.arcs (Pl.to_marked_graph pl_sh)))
+      (sorted projected)
+  done;
+  Alcotest.(check bool) "some trigger is shared" true (!merged > 0)
+
 let suite =
   ( "sim",
     [
@@ -173,6 +240,10 @@ let suite =
       Alcotest.test_case "register state carries" `Quick test_register_state_carries;
       Alcotest.test_case "run stats" `Quick test_run_stats;
       Alcotest.test_case "wrong vector length" `Quick test_wrong_vector_length;
+      Alcotest.test_case "apply allocates nothing per gate" `Quick
+        test_apply_allocation_per_wave;
+      Alcotest.test_case "shared triggers: rail, stream, timed graph (b01-b13)" `Quick
+        test_shared_triggers_b01_b13;
       prop_pl_matches_golden;
       prop_ee_matches_golden;
       prop_ee_never_slower_per_gate;
