@@ -30,12 +30,11 @@
                               depth gate (writes BENCH_corpus.json; exits
                               non-zero on any taxonomy or depth-gate failure)
      main.exe --corpus-dir D  also sweep the .blif/.aag/.aig files in D
-     main.exe --search        CEGIS trigger search vs brute force and the
+     main.exe --search        trigger enumerator timings by arity and the
                               ITC99 shared-trigger period table (writes
-                              BENCH_search.json; exits non-zero if pruned
-                              search loses to brute force at arity 6, on
-                              any search/brute disagreement, or if sharing
-                              regresses any bench's period)
+                              BENCH_search.json; exits non-zero on any
+                              enumerator/reference disagreement or if
+                              sharing regresses any bench's period)
      main.exe --fast          fewer vectors (CI-friendly)
      main.exe --csv           also print Table 3 as CSV *)
 
@@ -1674,21 +1673,19 @@ let print_corpus ?dir ~fast () =
     exit 1
   end
 
-(* Experiment 18: the sketch/CEGIS trigger search against brute-force
-   subset enumeration, and shared multi-master triggers on the ITC99
-   suite.  Writes BENCH_search.json.
+(* Experiment 18: the trigger enumerator on random functions, and shared
+   multi-master triggers on the ITC99 suite.  Writes BENCH_search.json.
 
    Gates (exit 1):
-   - at arity 6 under the deployed pruning configuration (coverage floor +
-     top-k ring) the CEGIS driver must beat brute force wall-clock;
-   - searched and brute candidate lists must agree on every function;
+   - the enumerator's candidate lists, unpruned and pruned, must equal the
+     brute-force reference built from [trigger_function] on every function;
    - on every ITC99 bench the shared-trigger period must not exceed the
      per-gate MCR plan's. *)
 
 let print_search ~fast () =
-  section "Search: CEGIS trigger synthesis vs brute force (Ext. 18)";
+  section "Search: trigger enumeration and shared triggers (Ext. 18)";
   let module Json = Ee_export.Json in
-  let module Driver = Ee_search.Driver in
+  let module Tw = Ee_core.Trigger_wide in
   let module Select = Ee_search.Search_select in
   let module Cutmap = Ee_rtl.Cutmap in
   let time f =
@@ -1696,18 +1693,16 @@ let print_search ~fast () =
     let r = f () in
     (r, (Unix.gettimeofday () -. t0) *. 1e3)
   in
-  (* A. Crossover: random functions per arity, both engines, unpruned and
-     under the pruning the selection flow actually deploys. *)
+  (* A. Random functions per arity, unpruned and under the pruning the
+     selection flow deploys, against the brute-force reference. *)
   let pr_min = 50. and pr_top = 8 in
   let n_funcs = if fast then 12 else 48 in
   let t =
     Ee_util.Table.create
-      ~headers:
-        [ "Arity"; "Funcs"; "Brute ms"; "Search ms"; "Brute ms (pruned)"; "Search ms (pruned)"; "Agree" ]
+      ~headers:[ "Arity"; "Funcs"; "Enumerate ms"; "Enumerate ms (pruned)"; "Reference ms"; "Agree" ]
   in
-  let crossover_rows = ref [] in
+  let arity_rows = ref [] in
   let disagreements = ref 0 in
-  let gate_search_ms = ref infinity and gate_brute_ms = ref 0. in
   List.iter
     (fun arity ->
       let fs =
@@ -1715,84 +1710,51 @@ let print_search ~fast () =
             Ee_logic.Truthtab.random (Ee_util.Prng.create (seed + (1000 * arity) + i)) arity)
       in
       let run_all f = Array.iter (fun tt -> ignore (f tt)) fs in
-      (* One timed pass is at the mercy of CPU-frequency bursts on shared
-         runners, so: warm both engines up, then interleave repeated passes
-         and keep each engine's best — drift hits all four configurations
-         alike instead of whichever ran first. *)
-      let brute () = run_all Ee_core.Trigger_wide.candidates in
-      let search () = run_all Driver.candidates in
-      let brute_pr () =
-        run_all (Ee_core.Trigger_wide.candidates ~min_coverage:pr_min ~top_k:pr_top)
+      let unpruned () = run_all Tw.candidates in
+      let pruned () = run_all (Tw.candidates ~min_coverage:pr_min ~top_k:pr_top) in
+      let reference () = run_all Tw.reference in
+      let agree =
+        Array.for_all
+          (fun tt ->
+            Tw.candidates tt = Tw.reference tt
+            && Tw.candidates ~min_coverage:pr_min ~top_k:pr_top tt
+               = Tw.reference ~min_coverage:pr_min ~top_k:pr_top tt)
+          fs
       in
-      let search_pr () =
-        run_all (fun tt -> Driver.candidates ~min_coverage:pr_min ~top_k:pr_top tt)
-      in
-      let probed = ref 0 and bound_pruned = ref 0 in
-      (* Warmup doubles as the stats pass. *)
-      brute ();
-      search ();
-      brute_pr ();
-      Array.iter
-        (fun tt ->
-          let _, stats = Driver.search ~min_coverage:pr_min ~top_k:pr_top tt in
-          probed := !probed + stats.Driver.probed;
-          bound_pruned := !bound_pruned + stats.Driver.bound_pruned)
-        fs;
-      let brute_ms = ref infinity
-      and search_ms = ref infinity
-      and brute_pr_ms = ref infinity
-      and search_pr_ms = ref infinity in
-      for _ = 1 to 3 do
-        let (), ms = time brute in
-        brute_ms := Float.min !brute_ms ms;
-        let (), ms = time search in
-        search_ms := Float.min !search_ms ms;
-        let (), ms = time brute_pr in
-        brute_pr_ms := Float.min !brute_pr_ms ms;
-        let (), ms = time search_pr in
-        search_pr_ms := Float.min !search_pr_ms ms
-      done;
-      let brute_ms = !brute_ms
-      and search_ms = !search_ms
-      and brute_pr_ms = !brute_pr_ms
-      and search_pr_ms = !search_pr_ms in
-      let agree = Array.for_all Driver.agrees_with_brute fs in
       if not agree then incr disagreements;
-      if arity = 6 then begin
-        gate_search_ms := search_pr_ms;
-        gate_brute_ms := brute_pr_ms
-      end;
+      (* The agreement pass doubles as warmup; then interleave repeated
+         passes and keep each configuration's best, so drift hits all three
+         alike instead of whichever ran first. *)
+      let best = Array.make 3 infinity in
+      for _ = 1 to 3 do
+        List.iteri
+          (fun i f -> best.(i) <- Float.min best.(i) (snd (time f)))
+          [ unpruned; pruned; reference ]
+      done;
       Ee_util.Table.add_row t
         [
           string_of_int arity;
           string_of_int n_funcs;
-          Printf.sprintf "%.2f" brute_ms;
-          Printf.sprintf "%.2f" search_ms;
-          Printf.sprintf "%.2f" brute_pr_ms;
-          Printf.sprintf "%.2f" search_pr_ms;
+          Printf.sprintf "%.2f" best.(0);
+          Printf.sprintf "%.2f" best.(1);
+          Printf.sprintf "%.2f" best.(2);
           (if agree then "yes" else "NO");
         ];
-      crossover_rows :=
+      arity_rows :=
         Json.Obj
           [
             ("arity", Json.Int arity);
             ("functions", Json.Int n_funcs);
-            ("brute_ms", Json.Float brute_ms);
-            ("search_ms", Json.Float search_ms);
-            ("brute_pruned_ms", Json.Float brute_pr_ms);
-            ("search_pruned_ms", Json.Float search_pr_ms);
-            ("probed", Json.Int !probed);
-            ("bound_pruned", Json.Int !bound_pruned);
+            ("enumerate_ms", Json.Float best.(0));
+            ("enumerate_pruned_ms", Json.Float best.(1));
+            ("reference_ms", Json.Float best.(2));
             ("agree", Json.Bool agree);
           ]
-        :: !crossover_rows)
+        :: !arity_rows)
     [ 4; 5; 6 ];
   Ee_util.Table.print t;
-  let crossover_ok = !gate_search_ms < !gate_brute_ms in
-  Printf.printf
-    "arity-6 pruned crossover (floor %.0f%%, top-%d): search %.2f ms vs brute %.2f ms (%s)\n"
-    pr_min pr_top !gate_search_ms !gate_brute_ms
-    (if crossover_ok then "search wins" else "BRUTE WINS");
+  Printf.printf "pruned = floor %.0f%%, top-%d; times are min of 3 interleaved passes\n" pr_min
+    pr_top;
   (* B. ITC99 shared-trigger periods against the per-gate MCR floor, plus
      the wide-cone coverage summary at LUT-6. *)
   let itc =
@@ -1828,8 +1790,8 @@ let print_search ~fast () =
           else
             List.fold_left
               (fun acc w ->
-                match Driver.candidates ~top_k:1 w.Cutmap.wfunc with
-                | c :: _ -> acc +. c.Driver.coverage
+                match Tw.candidates ~top_k:1 w.Cutmap.wfunc with
+                | c :: _ -> acc +. c.Tw.coverage
                 | [] -> acc)
               0. wide
             /. float_of_int (List.length wide)
@@ -1865,16 +1827,13 @@ let print_search ~fast () =
       [
         ("seed", Json.Int seed);
         ("fast", Json.Bool fast);
-        ("crossover", Json.List (List.rev !crossover_rows));
-        ( "crossover_gate",
+        ( "enumerate",
           Json.Obj
             [
-              ("arity", Json.Int 6);
               ("min_coverage", Json.Float pr_min);
               ("top_k", Json.Int pr_top);
-              ("search_ms", Json.Float !gate_search_ms);
-              ("brute_ms", Json.Float !gate_brute_ms);
-              ("passed", Json.Bool crossover_ok);
+              ("arities", Json.List (List.rev !arity_rows));
+              ("agreement_gate_passed", Json.Bool (!disagreements = 0));
             ] );
         ("itc99", Json.List itc_rows);
         ("lambda_gate_passed", Json.Bool (!lambda_failures = []));
@@ -1886,11 +1845,8 @@ let print_search ~fast () =
   close_out oc;
   Printf.printf "wrote BENCH_search.json\n";
   if !disagreements > 0 then begin
-    Printf.printf "FAIL: search/brute disagreement on %d arity group(s)\n" !disagreements;
-    exit 1
-  end;
-  if not crossover_ok then begin
-    Printf.printf "FAIL: pruned search slower than brute force at arity 6\n";
+    Printf.printf "FAIL: enumerator/reference disagreement on %d arity group(s)\n"
+      !disagreements;
     exit 1
   end;
   List.iter (fun f -> Printf.printf "FAIL: %s\n" f) !lambda_failures;
@@ -1930,15 +1886,6 @@ let micro () =
         (Staged.stage
            (let f = Ee_logic.Truthtab.random (Ee_util.Prng.create 6) 6 in
             fun () -> ignore (Ee_core.Trigger_wide.candidates f)));
-      Test.make ~name:"trigger-cegis-width-6"
-        (Staged.stage
-           (let f = Ee_logic.Truthtab.random (Ee_util.Prng.create 6) 6 in
-            fun () -> ignore (Ee_search.Driver.candidates f)));
-      Test.make ~name:"trigger-cegis-width-6-pruned"
-        (Staged.stage
-           (let f = Ee_logic.Truthtab.random (Ee_util.Prng.create 6) 6 in
-            fun () ->
-              ignore (Ee_search.Driver.candidates ~min_coverage:50. ~top_k:8 f)));
       Test.make ~name:"table3:pl-wave-simulation(b04)"
         (Staged.stage (fun () ->
              ignore (Ee_sim.Sim.apply sim (Ee_util.Prng.bool_vector vec_rng width))));

@@ -391,7 +391,7 @@ let perf_cmd =
 
 let search_cmd =
   let doc =
-    "CEGIS trigger search: wide-LUT cone analysis, shared multi-master triggers, \
+    "Trigger search: wide-LUT cone analysis, shared multi-master triggers, \
      coverage/area Pareto fronts."
   in
   let man =
@@ -399,8 +399,8 @@ let search_cmd =
       `S Manpage.s_description;
       `P
         "Covers the benchmark's netlist with LUT-$(i,K) cones ($(b,--lut-k); analysis \
-         only — the emitted netlist cell stays LUT4), runs the sketch/CEGIS trigger \
-         search on every cone wider than four inputs and cross-checks it against the \
+         only — the emitted netlist cell stays LUT4), enumerates the triggers of \
+         every cone wider than four inputs and cross-checks them against the \
          brute-force minterm scan.  $(b,--shared) additionally runs the shared \
          multi-master trigger selection and prints the period table against the \
          per-gate MCR floor; $(b,--pareto) N prints the coverage-vs-cubes front of \
@@ -425,7 +425,6 @@ let search_cmd =
   in
   let run bench lut_k top_k min_coverage shared pareto =
     let module Cutmap = Ee_rtl.Cutmap in
-    let module Driver = Ee_search.Driver in
     let module Select = Ee_search.Search_select in
     let a = Ee_report.Pipeline.build bench in
     let nl = a.Ee_report.Pipeline.netlist in
@@ -442,43 +441,27 @@ let search_cmd =
       (List.length covers) (List.length wide);
     Array.iteri (fun k c -> if c > 0 then Printf.printf " %d:%d" k c) hist;
     print_newline ();
-    (* Search vs brute force, cone by cone, with the driver's work accounting. *)
+    (* The enumerator vs the brute-force reference, cone by cone. *)
+    let module Tw = Ee_core.Trigger_wide in
     let time f =
       let t0 = Unix.gettimeofday () in
       let r = f () in
       (r, (Unix.gettimeofday () -. t0) *. 1e3)
     in
     let search_ms = ref 0. and brute_ms = ref 0. and mismatches = ref 0 in
-    let probed = ref 0 and bound_pruned = ref 0 in
     let analyzed =
       List.map
         (fun w ->
-          let (cands, stats), s_ms =
-            time (fun () -> Driver.search ~min_coverage ~top_k w.Cutmap.wfunc)
-          in
-          let brute, b_ms =
-            time (fun () -> Ee_core.Trigger_wide.candidates ~min_coverage ~top_k w.Cutmap.wfunc)
-          in
+          let cands, s_ms = time (fun () -> Tw.candidates ~min_coverage ~top_k w.Cutmap.wfunc) in
+          let brute, b_ms = time (fun () -> Tw.reference ~min_coverage ~top_k w.Cutmap.wfunc) in
           search_ms := !search_ms +. s_ms;
           brute_ms := !brute_ms +. b_ms;
-          probed := !probed + stats.Driver.probed;
-          bound_pruned := !bound_pruned + stats.Driver.bound_pruned;
-          let agree =
-            List.length cands = List.length brute
-            && List.for_all2
-                 (fun (s : Driver.candidate) (b : Ee_core.Trigger_wide.candidate) ->
-                   s.Driver.subset = b.Ee_core.Trigger_wide.subset
-                   && s.Driver.coverage_count = b.Ee_core.Trigger_wide.coverage_count)
-                 cands brute
-          in
-          if not agree then incr mismatches;
+          if cands <> brute then incr mismatches;
           (w, cands))
         wide
     in
-    Printf.printf
-      "  search vs brute on the %d wide cones: %.1f ms vs %.1f ms (%d probed, %d \
-       bound-pruned, %d disagreement%s)\n"
-      (List.length wide) !search_ms !brute_ms !probed !bound_pruned !mismatches
+    Printf.printf "  search vs brute on the %d wide cones: %.1f ms vs %.1f ms (%d disagreement%s)\n"
+      (List.length wide) !search_ms !brute_ms !mismatches
       (if !mismatches = 1 then "" else "s");
     let widest =
       List.stable_sort
@@ -491,7 +474,7 @@ let search_cmd =
         if i < 10 then
           let best =
             List.fold_left
-              (fun acc (c : Driver.candidate) -> max acc c.Driver.coverage)
+              (fun acc (c : Tw.candidate) -> max acc c.Tw.coverage)
               0. cands
           in
           Printf.printf "    cone %4d: %d inputs, %2d candidates, best coverage %.1f%%\n"

@@ -28,9 +28,10 @@ type selection =
           the EE pair that most improves the analytic steady-state period,
           repeat until no pair helps. *)
   | Search
-      (** {!Ee_search.Search_select}: the MCR plan as a floor, then
-          CEGIS-searched shared multi-master triggers accepted only when the
-          re-analyzed period does not regress — final λ is never worse than
+      (** {!Ee_search.Search_select}: the MCR plan as a floor, then shared
+          multi-master triggers — built from each master's best LUT4
+          {!Ee_core.Trigger.candidates} — accepted only when the
+          re-analyzed period does not regress; final λ is never worse than
           [Mcr]'s on the same netlist. *)
 
 type spec = {

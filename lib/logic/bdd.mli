@@ -52,25 +52,3 @@ val support : manager -> t -> int
 
 val node_count : manager -> t -> int
 (** Number of distinct internal nodes reachable (excluding leaves). *)
-
-val any_sat : manager -> t -> int option
-(** A satisfying minterm, if any.  Deterministic: walks toward the hi
-    branch first; variables the chosen path does not mention are 0.  The
-    CEGIS trigger search uses this to extract counterexamples without
-    enumerating minterms. *)
-
-val any_sat_diff : manager -> t -> t -> int option
-(** [any_sat_diff m a b] is a satisfying minterm of [a ∧ ¬b], if any,
-    found by walking the pair — no difference BDD is constructed, so a
-    refinement loop can call it every iteration without paying an apply.
-    Same determinism convention as {!any_sat}. *)
-
-val exists_mask : manager -> t -> mask:int -> t
-(** Existentially quantify out every variable in the bitmask. *)
-
-val forall_mask : manager -> t -> mask:int -> t
-(** Universally quantify out every variable in the bitmask.
-    [forall_mask m f ~mask] is 1 on an assignment of the remaining
-    variables iff [f] is 1 under {e every} completion of the masked ones —
-    exactly the "master is decided by the subset" predicate of the trigger
-    search. *)

@@ -174,13 +174,49 @@ let constant_under t ~subset ~assignment =
 let cofactor_pair t ~var =
   (restrict t ~var ~value:false, restrict t ~var ~value:true)
 
-let exists t ~var =
-  let f0, f1 = cofactor_pair t ~var in
-  logor f0 f1
+(* Bits whose minterm index has bit [v] clear, for the in-word variables. *)
+let low_half =
+  [|
+    0x5555555555555555L;
+    0x3333333333333333L;
+    0x0F0F0F0F0F0F0F0FL;
+    0x00FF00FF00FF00FFL;
+    0x0000FFFF0000FFFFL;
+    0x00000000FFFFFFFFL;
+  |]
 
-let forall t ~var =
-  let f0, f1 = cofactor_pair t ~var in
-  logand f0 f1
+(* Quantify one variable word-parallel: combine each minterm with its
+   partner across [var] by [op] and write the result to both.  Below
+   variable 6 the partners share a word, [2^var] bits apart; from 6 up they
+   sit in words [2^(var-6)] apart.  The tail-mask invariant holds: at arity
+   < 6 the shifts never carry set bits past [2^arity]. *)
+let quantify op t ~var =
+  if var < 0 || var >= t.arity then invalid_arg "Truthtab: bad variable";
+  let words = Array.copy t.words in
+  if var < 6 then begin
+    let s = 1 lsl var in
+    Array.iteri
+      (fun i w ->
+        let r = Int64.logand (op w (Int64.shift_right_logical w s)) low_half.(var) in
+        words.(i) <- Int64.logor r (Int64.shift_left r s))
+      t.words
+  end
+  else begin
+    let stride = 1 lsl (var - 6) in
+    Array.iteri
+      (fun i w ->
+        if i land stride = 0 then begin
+          let r = op w t.words.(i + stride) in
+          words.(i) <- r;
+          words.(i + stride) <- r
+        end)
+      t.words
+  end;
+  { t with words }
+
+let exists t ~var = quantify Int64.logor t ~var
+
+let forall t ~var = quantify Int64.logand t ~var
 
 let permute t p =
   if Array.length p <> t.arity then invalid_arg "Truthtab.permute: bad permutation";

@@ -61,7 +61,7 @@ val count_ones : t -> int
 val first_diff : t -> t -> int option
 (** [first_diff a b] is the smallest minterm index where [a] is 1 and [b]
     is 0, if any — [a ∧ ¬b] without materializing the difference table.
-    The CEGIS trigger search extracts counterexamples with this. *)
+    {!Ee_search.Cegis} extracts counterexamples with this. *)
 
 val minterms : t -> int list
 (** Ascending list of ON-set minterm indices. *)

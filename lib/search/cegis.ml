@@ -1,87 +1,27 @@
 module Bits = Ee_util.Bits
 module Tt = Ee_logic.Truthtab
 module Cube = Ee_logic.Cube
-module Bdd = Ee_logic.Bdd
 module Isop = Ee_logic.Isop
+module Trigger_wide = Ee_core.Trigger_wide
 
 type ctx = {
   tt : Tt.t;
   ntt : Tt.t;
   arity : int;
-  man : Bdd.manager;
-  f : Bdd.t;
-  nf : Bdd.t;
   seeds : Cube.t list Lazy.t;  (* ISOP covers of f and of ¬f, deduplicated *)
-  ab_memo : (int, Bdd.t * Bdd.t) Hashtbl.t;
-      (* subset -> (∀_{V∖S} f, ∀_{V∖S} ¬f); filled one quantified variable
-         at a time, so the driver's size-descending walk pays a single
-         one-variable quantification pair per subset instead of
-         re-quantifying the whole complement from scratch. *)
-  spec_memo : (int, Bdd.t) Hashtbl.t;  (* subset -> maximal trigger *)
 }
 
 let ctx tt =
-  let man = Bdd.manager () in
-  let f = Bdd.of_truthtab man tt in
-  let nf = Bdd.lognot man f in
-  (* Lazy: a pruned driver run may probe every subset yet synthesize none
-     (or few), and the ISOP pair is the costliest part of context setup. *)
+  (* Lazy: the ISOP pair is the costliest part of the context, and a caller
+     may build one without ever synthesizing. *)
   let seeds =
     lazy (List.sort_uniq Cube.compare (Isop.cover tt @ Isop.cover (Tt.lognot tt)))
   in
-  {
-    tt;
-    ntt = Tt.lognot tt;
-    arity = Tt.arity tt;
-    man;
-    f;
-    nf;
-    seeds;
-    ab_memo = Hashtbl.create 64;
-    spec_memo = Hashtbl.create 64;
-  }
-
-let arity c = c.arity
+  { tt; ntt = Tt.lognot tt; arity = Tt.arity tt; seeds }
 
 let check_subset ctx ~subset =
   if subset <= 0 || subset land lnot (Bits.mask ctx.arity) <> 0 then
     invalid_arg "Cegis: subset must be a non-empty mask of master variables"
-
-(* [∀_{V∖S} f] and [∀_{V∖S} ¬f], peeling one quantified variable per memo
-   level: [∀_{V∖S} f = ∀_v ∀_{V∖(S∪{v})} f], so a subset reuses the
-   already-quantified parent one variable up the lattice. *)
-let rec ab_bdd ctx ~subset =
-  match Hashtbl.find_opt ctx.ab_memo subset with
-  | Some ab -> ab
-  | None ->
-      let others = Bits.mask ctx.arity land lnot subset in
-      let ab =
-        if others = 0 then (ctx.f, ctx.nf)
-        else begin
-          let v = Bits.fold_bits others (fun acc p -> max acc p) 0 in
-          let pa, pb = ab_bdd ctx ~subset:(subset lor (1 lsl v)) in
-          ( Bdd.forall_mask ctx.man pa ~mask:(1 lsl v),
-            Bdd.forall_mask ctx.man pb ~mask:(1 lsl v) )
-        end
-      in
-      Hashtbl.add ctx.ab_memo subset ab;
-      ab
-
-(* The maximal trigger over [subset], by quantification: the master is
-   decided by an S-assignment iff it is 1 under every completion or 0 under
-   every completion. *)
-let spec_bdd ctx ~subset =
-  check_subset ctx ~subset;
-  match Hashtbl.find_opt ctx.spec_memo subset with
-  | Some b -> b
-  | None ->
-      let a, nb = ab_bdd ctx ~subset in
-      let b = Bdd.logor ctx.man a nb in
-      Hashtbl.add ctx.spec_memo subset b;
-      b
-
-let spec_coverage ctx ~subset =
-  Bdd.sat_count ctx.man (spec_bdd ctx ~subset) ~nvars:ctx.arity
 
 (* cube ⟹ target, checked on the truth table: every completion of the
    cube's don't-cares evaluates to 1.  Submask enumeration is pure integer
@@ -118,8 +58,6 @@ type result = {
   func : Tt.t;
   coverage_count : int;
   exact : bool;
-  iterations : int;
-  seeded : int;
 }
 
 (* Compact view of the subset assignment space: position j of the compact
@@ -164,35 +102,28 @@ let select_budget ~positions ~budget cubes =
   in
   go [] (Tt.const j false) tables budget
 
-let synthesize ?(seed = true) ?max_cubes ctx ~subset =
+let synthesize ?max_cubes ctx (cand : Trigger_wide.candidate) =
+  let subset = cand.Trigger_wide.subset in
   check_subset ctx ~subset;
-  (* The BDD lattice is the verifier: it produces the canonical spec by
-     quantification.  Tabulated once, every refinement round below is then
-     one or two machine words of table arithmetic — no per-iteration BDD
-     applies. *)
-  let spec = Bdd.to_truthtab ctx.man (spec_bdd ctx ~subset) ~arity:ctx.arity in
+  (* The candidate carries the spec, the maximal trigger over [subset]; every
+     refinement round below is one or two machine words of table
+     arithmetic against it. *)
+  let spec = cand.Trigger_wide.func in
+  if Tt.arity spec <> ctx.arity then
+    invalid_arg "Cegis: candidate arity differs from the master's";
   let cube_tt c = Tt.of_fun ctx.arity (fun m -> Cube.contains_minterm c m) in
   (* Seed the pool with the S-supported ISOP cubes of f and ¬f — every one
      implies the spec.  The loop then closes the gap: ISOP covers are
      irredundant but not prime-complete, so implicants whose care set fits
-     inside S can be missing entirely.  [seed:false] starts from the empty
-     pool — the loop alone is complete, and a caller synthesizing only a
-     couple of subsets saves the ISOP pair, which costs more than the
-     extra refinement rounds. *)
+     inside S can be missing entirely. *)
   let pool =
-    ref
-      (if seed then
-         List.filter (fun c -> Cube.supported_on c ~subset) (Lazy.force ctx.seeds)
-       else [])
+    ref (List.filter (fun c -> Cube.supported_on c ~subset) (Lazy.force ctx.seeds))
   in
-  let seeded = List.length !pool in
   let union cubes =
     List.fold_left (fun acc c -> Tt.logor acc (cube_tt c)) (Tt.create ctx.arity) cubes
   in
   let g = ref (union !pool) in
-  let iterations = ref 0 in
   while not (Tt.equal !g spec) do
-    incr iterations;
     (* g is always a union of spec implicants, so spec \ g is the exact
        counterexample set. *)
     let cex =
@@ -232,9 +163,4 @@ let synthesize ?(seed = true) ?max_cubes ctx ~subset =
     func;
     coverage_count = Tt.count_ones func;
     exact;
-    iterations = !iterations;
-    seeded;
   }
-
-let synthesize_sketch ctx sketch =
-  synthesize ~max_cubes:(Sketch.max_cubes sketch) ctx ~subset:(Sketch.support sketch)

@@ -1,4 +1,3 @@
-module Bits = Ee_util.Bits
 module Tt = Ee_logic.Truthtab
 
 type point = {
@@ -33,7 +32,7 @@ let front ?(max_cubes = 8) tt =
       }
     in
     (* Keep one witness per (area, coverage) cell: the first subset found
-       (subsets are walked ascending, so the witness is canonical). *)
+       (candidates come subset ascending, so the witness is canonical). *)
     if
       not
         (List.exists
@@ -43,15 +42,13 @@ let front ?(max_cubes = 8) tt =
     then pts := p :: !pts
   in
   List.iter
-    (fun subset ->
-      if Cegis.spec_coverage ctx ~subset > 0 then begin
-        let exact = Cegis.synthesize ctx ~subset in
-        let full = List.length exact.Cegis.cubes in
-        for b = 1 to min full max_cubes do
-          if b = full then add exact else add (Cegis.synthesize ~max_cubes:b ctx ~subset)
-        done
-      end)
-    (Bits.all_nonempty_proper_subsets (Tt.support tt));
+    (fun cand ->
+      let exact = Cegis.synthesize ctx cand in
+      let full = List.length exact.Cegis.cubes in
+      for b = 1 to min full max_cubes do
+        if b = full then add exact else add (Cegis.synthesize ~max_cubes:b ctx cand)
+      done)
+    (Ee_core.Trigger_wide.candidates tt);
   non_dominated !pts
   |> List.sort (fun a b ->
          match compare a.pt_cubes b.pt_cubes with

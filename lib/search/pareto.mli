@@ -1,11 +1,11 @@
 (** The coverage-vs-area Pareto front of one master function.
 
     A trigger's area is its cube count (each cube is a product term of the
-    SOP realization); its value is coverage.  For every support subset and
-    every cube budget up to [max_cubes], the CEGIS loop yields a sound
-    trigger — this module collects the non-dominated (cubes, coverage)
-    points, each with its witness subset.  The third axis the ISSUE's
-    report plots — the netlist period λ — depends on where the master sits
+    SOP realization); its value is coverage.  For every candidate of
+    {!Ee_core.Trigger_wide.candidates} and every cube budget up to
+    [max_cubes], {!Cegis.synthesize} yields a sound trigger — this module
+    collects the non-dominated (cubes, coverage) points, each with its
+    witness subset.  The netlist period λ depends on where the master sits
     in a netlist, so the bench and the [ee_synth search] command assemble
     λ points from {!Search_select} runs and join them with this
     logic-level front. *)
@@ -20,7 +20,7 @@ type point = {
 
 val front : ?max_cubes:int -> Ee_logic.Truthtab.t -> point list
 (** Non-dominated points, cube count ascending.  [max_cubes] (default 8)
-    bounds the sketches explored.  Deterministic.  Raises
+    bounds the cube budgets explored.  Deterministic.  Raises
     [Invalid_argument] if [max_cubes < 1]. *)
 
 val dominates : point -> point -> bool

@@ -38,19 +38,13 @@ let analyze (base : Mcr_select.options) pl =
   Throughput.analyze ~gate_delay:base.Mcr_select.gate_delay
     ~ee_overhead:base.Mcr_select.ee_overhead pl
 
-let rec take k = function
-  | [] -> []
-  | _ when k <= 0 -> []
-  | x :: r -> x :: take (k - 1) r
-
-(* The master's best [top_k] candidate subsets, by the shared prune rule. *)
+(* The master's best [top_k] candidate subsets, best first, by the shared
+   ranking rule. *)
 let pruned_candidates ?memo ~top_k func =
   Trigger.candidates ?memo func
-  |> List.stable_sort (fun (a : Trigger.candidate) b ->
-         match compare b.Trigger.coverage_count a.Trigger.coverage_count with
-         | 0 -> compare a.Trigger.subset b.Trigger.subset
-         | x -> x)
-  |> take top_k
+  |> Ee_core.Trigger_wide.best
+       ~key:(fun (c : Trigger.candidate) -> (c.Trigger.coverage_count, c.Trigger.subset))
+       top_k
 
 (* A master's candidate trigger, re-expressed over the group's (sorted,
    distinct) signal list: variable [j] of the result is signal
@@ -181,7 +175,7 @@ let run ?(options = default_options) ?memo pl =
   in
   let groups =
     List.sort (fun a b -> compare (group_key a) (group_key b)) groups
-    |> take options.max_groups
+    |> List.filteri (fun i _ -> i < options.max_groups)
   in
   let current_requests = ref base_requests in
   let current_pl = ref pl_mcr in

@@ -114,7 +114,7 @@ let row_json (row : Tables.row) (rep : Ee_core.Synth.report) (spec : Engine.spec
 (* The search section: the shared-trigger λ table plus a wide-LUT cone
    summary, appended to a synth row when the request sets "search".  The
    netlist cell stays a LUT4 — [wide_covers] only reports which LUT-k cone
-   functions the CEGIS driver would analyze at [spec.lut_k]. *)
+   functions {!Ee_core.Trigger_wide} analyzes at [spec.lut_k]. *)
 let search_json ~spec nl =
   let pl = Ee_phased.Pl.of_netlist nl in
   let pl', r = Ee_search.Search_select.run ~options:(Engine.search_options spec) pl in
@@ -142,10 +142,8 @@ let search_json ~spec nl =
   let best_coverages =
     List.map
       (fun w ->
-        match
-          Ee_search.Driver.candidates ~top_k:1 w.Ee_rtl.Cutmap.wfunc
-        with
-        | c :: _ -> c.Ee_search.Driver.coverage
+        match Ee_core.Trigger_wide.candidates ~top_k:1 w.Ee_rtl.Cutmap.wfunc with
+        | c :: _ -> c.Ee_core.Trigger_wide.coverage
         | [] -> 0.)
       analyzed
   in

@@ -1,17 +1,14 @@
-(* The sketch/CEGIS trigger search: equivalence with brute force,
-   pruning, budgets, the Pareto front and shared-trigger selection. *)
+(* The trigger enumerator and its cube-level realization: equivalence of
+   the lattice walk in [Trigger_wide.candidates] (the "driver" below) with
+   the per-subset brute-force reference, pruning, cube budgets, the Pareto
+   front and shared-trigger selection. *)
 
 module Bits = Ee_util.Bits
 module Tt = Ee_logic.Truthtab
 module Lut4 = Ee_logic.Lut4
-module Cube = Ee_logic.Cube
-module Bdd = Ee_logic.Bdd
-module Trigger = Ee_core.Trigger
 module Trigger_wide = Ee_core.Trigger_wide
 module Mcr_select = Ee_core.Mcr_select
-module Sketch = Ee_search.Sketch
 module Cegis = Ee_search.Cegis
-module Driver = Ee_search.Driver
 module Pareto = Ee_search.Pareto
 module Search_select = Ee_search.Search_select
 module Pl = Ee_phased.Pl
@@ -26,48 +23,48 @@ let tt_gen arity =
        (fun seed -> Tt.random (Ee_util.Prng.create seed) arity)
        (QCheck.Gen.int_bound 1_000_000))
 
-(* ------------------------------------------------------------------ *)
-(* Sketch                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_sketch_enumerate () =
-  let sketches = Sketch.enumerate ~max_cubes:2 ~universe:0b111 () in
-  (* 6 strict non-empty submasks x 2 budgets. *)
-  Alcotest.(check int) "count" 12 (List.length sketches);
-  let costs = List.map Sketch.cost sketches in
-  Alcotest.(check bool) "cost-sorted" true (List.sort compare costs = costs);
-  (* Support size dominates the order: every 1-input sketch precedes every
-     2-input sketch. *)
-  let sizes = List.map (fun s -> Bits.popcount (Sketch.support s)) sketches in
-  Alcotest.(check bool) "size-major" true (List.sort compare sizes = sizes);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        "admits own support" true
-        (Sketch.admits s [ Cube.make ~care:(Sketch.support s) ~value:0 ]))
-    sketches
-
-let test_sketch_validation () =
-  Alcotest.check_raises "empty support"
-    (Invalid_argument "Sketch.make: empty support") (fun () ->
-      ignore (Sketch.make ~support:0 ~max_cubes:1));
-  Alcotest.check_raises "zero cubes"
-    (Invalid_argument "Sketch.make: max_cubes must be >= 1") (fun () ->
-      ignore (Sketch.make ~support:1 ~max_cubes:0))
+(* Uniform random functions rarely have strong triggers above arity 4, so
+   the pruning tests also draw sparse and dense functions and functions on
+   a smaller support, where the coverage bound and the top-k ring bite. *)
+let shaped_gen arity =
+  QCheck.make ~print:Tt.to_string
+    (QCheck.Gen.map
+       (fun (shape, seed) ->
+         let rng = Ee_util.Prng.create seed in
+         match shape with
+         | 0 -> Tt.random rng arity
+         | 1 -> Tt.of_fun arity (fun _ -> Ee_util.Prng.int rng 8 = 0)
+         | 2 -> Tt.of_fun arity (fun _ -> Ee_util.Prng.int rng 8 <> 0)
+         | _ ->
+             let inner = Tt.random rng (max 1 (arity - 2)) in
+             let keep = Bits.mask (Tt.arity inner) in
+             Tt.of_fun arity (fun m -> Tt.eval inner (m land keep)))
+       QCheck.Gen.(pair (int_bound 3) (int_bound 1_000_000)))
 
 (* ------------------------------------------------------------------ *)
 (* CEGIS                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The reference semantics: the minterm-scanning maximal trigger. *)
+(* The reference semantics: the minterm-scanning maximal trigger, as the
+   candidate record [Cegis.synthesize] takes. *)
 let ref_trigger tt ~subset = Trigger_wide.trigger_function tt ~subset
+
+let ref_candidate tt ~subset =
+  let func = ref_trigger tt ~subset in
+  let n = Tt.count_ones func in
+  {
+    Trigger_wide.subset;
+    coverage_count = n;
+    coverage = 100. *. float_of_int n /. float_of_int (1 lsl Tt.arity tt);
+    func;
+  }
 
 let test_cegis_exact () =
   (* The paper's running AND example: a controlling value on one input
      alone decides the output. *)
   let tt = Lut4.to_truthtab (Lut4.logand (Lut4.var 0) (Lut4.var 1)) in
   let ctx = Cegis.ctx tt in
-  let r = Cegis.synthesize ctx ~subset:0b01 in
+  let r = Cegis.synthesize ctx (ref_candidate tt ~subset:0b01) in
   Alcotest.(check bool) "exact" true r.Cegis.exact;
   Alcotest.(check bool)
     "matches reference" true
@@ -82,8 +79,10 @@ let prop_cegis_matches_reference =
       let ctx = Cegis.ctx tt in
       List.for_all
         (fun subset ->
-          let r = Cegis.synthesize ctx ~subset in
-          r.Cegis.exact && Tt.equal r.Cegis.func (ref_trigger tt ~subset))
+          let r = Cegis.synthesize ctx (ref_candidate tt ~subset) in
+          r.Cegis.exact
+          && Tt.equal r.Cegis.func (ref_trigger tt ~subset)
+          && List.for_all (fun c -> Ee_logic.Cube.supported_on c ~subset) r.Cegis.cubes)
         (Bits.all_nonempty_proper_subsets (Bits.mask 5)))
 
 let prop_cegis_budget_sound =
@@ -91,12 +90,12 @@ let prop_cegis_budget_sound =
     (tt_gen 5) (fun tt ->
       let ctx = Cegis.ctx tt in
       List.for_all
-        (fun subset ->
-          let exact = Cegis.synthesize ctx ~subset in
+        (fun cand ->
+          let exact = Cegis.synthesize ctx cand in
           let results =
             List.map
               (fun b ->
-                let r = Cegis.synthesize ~max_cubes:b ctx ~subset in
+                let r = Cegis.synthesize ~max_cubes:b ctx cand in
                 (* Within budget, and every ON-minterm of the budgeted
                    trigger is an ON-minterm of the exact one. *)
                 ( List.length r.Cegis.cubes <= b
@@ -111,16 +110,17 @@ let prop_cegis_budget_sound =
           (* Greedy coverage is monotone in the budget. *)
           let cs = List.map snd results in
           List.sort compare cs = cs)
-        (Bits.all_nonempty_proper_subsets (Tt.support tt)))
+        (Trigger_wide.candidates tt))
 
 let test_cegis_parity () =
-  (* Parity is undecidable from any strict subset: every spec is empty and
-     the loop must converge on the constant-false trigger. *)
+  (* Parity is undecidable from any strict subset: every trigger is empty
+     and the loop must converge on the constant-false trigger. *)
   let tt = Tt.of_fun 4 (fun m -> Bits.popcount m mod 2 = 1) in
   let ctx = Cegis.ctx tt in
+  Alcotest.(check int) "no candidates" 0 (List.length (Trigger_wide.candidates tt));
   List.iter
     (fun subset ->
-      let r = Cegis.synthesize ctx ~subset in
+      let r = Cegis.synthesize ctx (ref_candidate tt ~subset) in
       Alcotest.(check int) "no coverage" 0 r.Cegis.coverage_count;
       Alcotest.(check bool)
         "trigger matches reference" true
@@ -131,38 +131,52 @@ let test_cegis_parity () =
 (* Driver vs brute force                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The pruning settings checked: none, a top-k ring of 0, 1 and 3, a
+   coverage floor, and the floor-plus-ring the [--search] bench deploys. *)
+let settings =
+  [
+    (None, None);
+    (None, Some 0);
+    (None, Some 1);
+    (None, Some 3);
+    (Some 25., None);
+    (Some 50., Some 8);
+  ]
+
+(* [candidates] under each setting equals the reference list built from
+   [trigger_function], field by field.  The unpruned reference is built
+   once: [prune] of it is the pruned reference. *)
+let agrees_under_settings tt =
+  let all = Trigger_wide.reference tt in
+  List.for_all
+    (fun (min_coverage, top_k) ->
+      Trigger_wide.candidates ?min_coverage ?top_k tt
+      = Trigger_wide.prune ?min_coverage ?top_k all)
+    settings
+
 let prop_driver_equals_brute arity =
   qtest
     (Printf.sprintf "driver = brute force (arity %d)" arity)
-    (tt_gen arity)
-    (fun tt -> Driver.agrees_with_brute tt)
+    ~count:(match arity with 7 -> 12 | 8 -> 4 | 6 -> 40 | _ -> 100)
+    (shaped_gen arity) agrees_under_settings
 
 let prop_driver_pruned_equals_brute =
-  qtest "pruned driver = pruned brute force (arity 5)" ~count:60 (tt_gen 5)
-    (fun tt ->
-      Driver.agrees_with_brute ~min_coverage:25. tt
-      && Driver.agrees_with_brute ~top_k:4 tt
-      && Driver.agrees_with_brute ~min_coverage:12.5 ~top_k:3 tt)
+  qtest "pruned driver = pruned brute force (arity 5)" ~count:100
+    (QCheck.triple (shaped_gen 5)
+       (QCheck.make QCheck.Gen.(oneofl [ 0.; 3.; 12.5; 25.; 40.; 50.; 75.; 100. ]))
+       (QCheck.make QCheck.Gen.(int_bound 12)))
+    (fun (tt, min_coverage, top_k) ->
+      Trigger_wide.candidates ~min_coverage ~top_k tt
+      = Trigger_wide.reference ~min_coverage ~top_k tt
+      && Trigger_wide.candidates ~min_coverage tt
+         = Trigger_wide.reference ~min_coverage tt)
 
 let test_driver_exhaustive_lut4 () =
   (* Every one of the 65 536 LUT4 functions — the paper's own enumeration
-     universe.  The search must reproduce Trigger.candidates exactly. *)
+     universe.  The lattice walk must reproduce Trigger.candidates exactly. *)
   let bad = ref 0 and first = ref (-1) in
   for f = 0 to 65535 do
-    let lut = Lut4.of_int f in
-    let narrow = Trigger.candidates lut in
-    let searched = Driver.candidates (Lut4.to_truthtab lut) in
-    let ok =
-      List.length searched = List.length narrow
-      && List.for_all2
-           (fun (s : Driver.candidate) (n : Trigger.candidate) ->
-             s.Driver.subset = n.Trigger.subset
-             && s.Driver.coverage_count = n.Trigger.coverage_count
-             && s.Driver.exact
-             && Tt.equal s.Driver.func (Lut4.to_truthtab n.Trigger.func))
-           searched narrow
-    in
-    if not ok then begin
+    if not (Trigger_wide.agrees_with_lut4 (Lut4.of_int f)) then begin
       incr bad;
       if !first < 0 then first := f
     end
@@ -170,19 +184,6 @@ let test_driver_exhaustive_lut4 () =
   Alcotest.(check int)
     (Printf.sprintf "mismatching functions (first: %d)" !first)
     0 !bad
-
-let test_driver_pruning_work () =
-  (* A 6-input single-minterm function under a 99% floor: the six arity-5
-     supports get probed (96.9% spec coverage), and their recorded bounds
-     prune every smaller support without another BDD probe. *)
-  let tt = Tt.of_fun 6 (fun m -> m = 0b101010) in
-  let cands, stats = Driver.search ~min_coverage:99. tt in
-  Alcotest.(check (list int)) "nothing passes the floor" []
-    (List.map (fun (c : Driver.candidate) -> c.Driver.subset) cands);
-  Alcotest.(check int) "only the top layer probed" 6 stats.Driver.probed;
-  Alcotest.(check bool) "pruned the rest" true (stats.Driver.bound_pruned > 0);
-  Alcotest.(check int) "accounting adds up" stats.Driver.supports
-    (stats.Driver.probed + stats.Driver.bound_pruned)
 
 (* ------------------------------------------------------------------ *)
 (* Trigger_wide pruning                                                *)
@@ -249,30 +250,6 @@ let prop_pareto_front =
               0 cands
           in
           List.exists (fun p -> p.Pareto.pt_coverage_count = best) front)
-
-(* ------------------------------------------------------------------ *)
-(* Bdd additions                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let prop_bdd_any_sat =
-  qtest "any_sat finds a model iff one exists" (tt_gen 5) (fun tt ->
-      let m = Bdd.manager () in
-      let b = Bdd.of_truthtab m tt in
-      match Bdd.any_sat m b with
-      | Some w -> Tt.eval tt w
-      | None -> Tt.count_ones tt = 0)
-
-let prop_bdd_quantifiers =
-  qtest "forall_mask/exists_mask agree with Truthtab" (tt_gen 5) (fun tt ->
-      let m = Bdd.manager () in
-      let b = Bdd.of_truthtab m tt in
-      List.for_all
-        (fun mask ->
-          let fa = Bits.fold_bits mask (fun acc v -> Tt.forall acc ~var:v) tt in
-          let ex = Bits.fold_bits mask (fun acc v -> Tt.exists acc ~var:v) tt in
-          Tt.equal (Bdd.to_truthtab m (Bdd.forall_mask m b ~mask) ~arity:5) fa
-          && Tt.equal (Bdd.to_truthtab m (Bdd.exists_mask m b ~mask) ~arity:5) ex)
-        [ 0b00001; 0b10100; 0b11111; 0 ])
 
 (* ------------------------------------------------------------------ *)
 (* Shared-trigger selection                                            *)
@@ -365,26 +342,24 @@ let test_pl_canonical_merge () =
 let suite =
   ( "search",
     [
-      Alcotest.test_case "sketch enumerate" `Quick test_sketch_enumerate;
-      Alcotest.test_case "sketch validation" `Quick test_sketch_validation;
       Alcotest.test_case "cegis exact AND" `Quick test_cegis_exact;
       prop_cegis_matches_reference;
       prop_cegis_budget_sound;
       Alcotest.test_case "cegis parity" `Quick test_cegis_parity;
+      prop_driver_equals_brute 1;
       prop_driver_equals_brute 2;
       prop_driver_equals_brute 3;
       prop_driver_equals_brute 4;
       prop_driver_equals_brute 5;
+      prop_driver_equals_brute 6;
+      prop_driver_equals_brute 7;
+      prop_driver_equals_brute 8;
       prop_driver_pruned_equals_brute;
       Alcotest.test_case "driver exhaustive LUT4" `Slow
         test_driver_exhaustive_lut4;
-      Alcotest.test_case "driver pruning accounting" `Quick
-        test_driver_pruning_work;
       Alcotest.test_case "trigger_wide prune" `Quick test_wide_prune;
       prop_wide_prune_is_filter;
       prop_pareto_front;
-      prop_bdd_any_sat;
-      prop_bdd_quantifiers;
       Alcotest.test_case "select never regresses" `Quick
         test_select_never_regresses;
       Alcotest.test_case "select sharing consistency" `Quick

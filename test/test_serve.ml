@@ -220,6 +220,16 @@ let test_e2e_search_section () =
       | _ -> Alcotest.fail "missing search lambda table");
       Alcotest.(check (option int)) "wide summary at lut_k" (Some 5)
         (Option.bind (get r1 [ "result"; "search"; "wide"; "lut_k" ]) Json.to_int);
+      (* b01 has six cones wider than four inputs at LUT-5, so the trigger
+         enumerator runs in the daemon; their mean best coverage is pinned. *)
+      Alcotest.(check bool) "wide cones analyzed" true
+        (match Option.bind (get r1 [ "result"; "search"; "wide"; "analyzed" ]) Json.to_int with
+        | Some n -> n > 0
+        | None -> false);
+      Alcotest.(check (option (float 1e-9))) "mean best coverage" (Some 77.0833333333)
+        (Option.bind
+           (get r1 [ "result"; "search"; "wide"; "mean_best_coverage_percent" ])
+           Json.to_float);
       let r2 = send sock line in
       Alcotest.(check (option bool)) "repeat is cached" (Some true)
         (Option.bind (Json.member "cached" r2) Json.to_bool);

@@ -78,13 +78,22 @@ let prop_support_restrict =
         [ 0; 1; 2; 3 ])
 
 let prop_quantifiers =
-  qtest "exists is or of cofactors; forall is and" (tt_gen 4) (fun f ->
+  (* Arities 1..8: in-word variables, and from arity 7 up the multi-word
+     tables whose variables 6 and 7 pair whole words. *)
+  qtest "exists is or of cofactors; forall is and"
+    (QCheck.make
+       ~print:(fun t -> Tt.to_string t)
+       QCheck.Gen.(
+         map2
+           (fun arity seed -> Tt.random (Ee_util.Prng.create seed) arity)
+           (int_range 1 8) int))
+    (fun f ->
       List.for_all
         (fun v ->
           let f0, f1 = Tt.cofactor_pair f ~var:v in
           Tt.equal (Tt.exists f ~var:v) (Tt.logor f0 f1)
           && Tt.equal (Tt.forall f ~var:v) (Tt.logand f0 f1))
-        [ 0; 1; 2; 3 ])
+        (List.init (Tt.arity f) Fun.id))
 
 let prop_constant_under_naive =
   qtest "constant_under agrees with direct scan"
