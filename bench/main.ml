@@ -925,7 +925,7 @@ let print_serve ~clients () =
   let tier_counts =
     List.map
       (fun t -> (t, stat_int [ "result"; "tiers"; t ]))
-      [ "ok"; "throttled"; "shed"; "overloaded" ]
+      [ "ok"; "overloaded" ]
   in
   let hits = stat_int [ "result"; "cache"; "hits" ]
   and misses = stat_int [ "result"; "cache"; "misses" ] in
@@ -1073,6 +1073,9 @@ let print_chaos () =
   let module Client = Ee_serve.Client in
   let module Fleet_client = Ee_serve.Fleet_client in
   let module Json = Ee_export.Json in
+  (* A write to a child killed mid-request must raise EPIPE, which the
+     fleet client fails over on, not kill the conductor. *)
+  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let exe =
     match Sys.getenv_opt "EE_FLEET_EXE" with
     | Some p -> p
@@ -1100,7 +1103,6 @@ let print_chaos () =
       [|
         exe; "-n"; "2"; "--socket"; prefix; "--tier"; tier; "--jobs"; "1";
         "--backoff-base"; string_of_float backoff_base; "--probe-interval"; "0.5";
-        "--grace"; "5";
       |]
       Unix.stdin Unix.stdout log_fd
   in

@@ -2,12 +2,12 @@
    cache tier.  See Ee_serve.Supervisor for the state machine.
 
    ee_fleet -n 2 --tier /var/tmp/ee-tier
-   ee_fleet -n 3 --tcp 127.0.0.1:7421 --jobs 2 --grace 10
+   ee_fleet -n 3 --tcp 127.0.0.1:7421 --jobs 2 --probe-interval 0.5
 
    Children listen on PREFIX.0, PREFIX.1, ... (Unix sockets) or on
    PORT, PORT+1, ... (TCP).  SIGTERM/SIGINT to the supervisor drains the
-   whole fleet: children get SIGTERM, [--grace] seconds to flush, then
-   SIGKILL. *)
+   whole fleet: children get SIGTERM, [Supervisor.default_config]'s grace
+   to flush, then SIGKILL. *)
 
 open Cmdliner
 module Server = Ee_serve.Server
@@ -36,16 +36,11 @@ let parse_tcp = function
    terminal Ctrl-C reaches the whole process group — the supervisor turns
    it into an orderly SIGTERM drain) and treats SIGTERM as graceful stop,
    exactly like a standalone ee_synthd. *)
-let child_main ~cfg ~tier =
+let child_main ~cfg =
   let stop = Atomic.make false in
   ignore (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set stop true)));
   ignore (Sys.signal Sys.sigint Sys.Signal_ignore);
-  (match tier with
-  | None -> Server.serve ~stop cfg
-  | Some _ ->
-      let cache = Server.cache_of_config cfg in
-      ignore (Ee_cache.Cache.preload cache);
-      Server.serve ~cache ~stop cfg);
+  Server.serve ~stop cfg;
   exit 0
 
 let probe_timeout_s = 2.0
@@ -71,7 +66,7 @@ let probe addr =
       healthy
 
 let run n socket_prefix tcp jobs shards queue deadline cache_mb tier probe_interval
-    probe_misses backoff_base backoff_cap stable grace quiet =
+    backoff_base quiet =
   match parse_tcp tcp with
   | Error (`Msg m) ->
       prerr_endline ("ee_fleet: " ^ m);
@@ -108,7 +103,7 @@ let run n socket_prefix tcp jobs shards queue deadline cache_mb tier probe_inter
                  here is safe; the child brings up its own domains. *)
               match Unix.fork () with
               | 0 -> (
-                  try child_main ~cfg:(cfg_of_slot slot) ~tier
+                  try child_main ~cfg:(cfg_of_slot slot)
                   with e ->
                     prerr_endline
                       (Printf.sprintf "ee_fleet: child %d died at startup: %s" slot
@@ -134,14 +129,10 @@ let run n socket_prefix tcp jobs shards queue deadline cache_mb tier probe_inter
       in
       let sup_cfg =
         {
-          Supervisor.children = n;
-          tick_s = 0.2;
+          Supervisor.default_config with
+          children = n;
           probe_interval_s = probe_interval;
-          probe_misses;
           backoff_base_s = backoff_base;
-          backoff_cap_s = backoff_cap;
-          stable_s = stable;
-          grace_s = grace;
         }
       in
       log
@@ -214,40 +205,14 @@ let tier_t =
 let probe_interval_t =
   Arg.(
     value
-    & opt float 1.0
+    & opt float Supervisor.default_config.Supervisor.probe_interval_s
     & info [ "probe-interval" ] ~docv:"S" ~doc:"Seconds between liveness probes.")
-
-let probe_misses_t =
-  Arg.(
-    value
-    & opt int 3
-    & info [ "probe-misses" ] ~docv:"N"
-        ~doc:"Consecutive failed probes before a child is declared wedged and killed.")
 
 let backoff_base_t =
   Arg.(
     value
-    & opt float 0.5
+    & opt float Supervisor.default_config.Supervisor.backoff_base_s
     & info [ "backoff-base" ] ~docv:"S" ~doc:"First restart delay after a crash.")
-
-let backoff_cap_t =
-  Arg.(
-    value
-    & opt float 30.
-    & info [ "backoff-cap" ] ~docv:"S" ~doc:"Maximum restart delay.")
-
-let stable_t =
-  Arg.(
-    value
-    & opt float 10.
-    & info [ "stable" ] ~docv:"S"
-        ~doc:"Uptime after which a child's crash streak (and so its backoff) resets.")
-
-let grace_t =
-  Arg.(
-    value
-    & opt float 5.
-    & info [ "grace" ] ~docv:"S" ~doc:"SIGTERM-to-SIGKILL budget when draining.")
 
 let quiet_t = Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress supervisor log lines.")
 
@@ -257,7 +222,6 @@ let main =
     (Cmd.info "ee_fleet" ~doc)
     Term.(
       const run $ n_t $ socket_prefix_t $ tcp_t $ jobs_t $ shards_t $ queue_t
-      $ deadline_t $ cache_mb_t $ tier_t $ probe_interval_t $ probe_misses_t
-      $ backoff_base_t $ backoff_cap_t $ stable_t $ grace_t $ quiet_t)
+      $ deadline_t $ cache_mb_t $ tier_t $ probe_interval_t $ backoff_base_t $ quiet_t)
 
 let () = exit (Cmd.eval main)

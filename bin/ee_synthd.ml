@@ -20,12 +20,7 @@ let address_of ~socket ~tcp =
           | Some p when p > 0 && p < 65536 -> Ok (`Tcp (host, p))
           | _ -> Error (`Msg (Printf.sprintf "bad port %S in --tcp" port))))
 
-let run socket tcp jobs shards queue backlog deadline cache_mb cache_dir tier quiet =
-  (match (cache_dir, tier) with
-  | Some _, Some _ ->
-      prerr_endline "ee_synthd: give either --tier or --cache-dir, not both";
-      exit 2
-  | _ -> ());
+let run socket tcp jobs shards queue deadline cache_mb tier quiet =
   match address_of ~socket ~tcp with
   | Error (`Msg m) ->
       prerr_endline ("ee_synthd: " ^ m);
@@ -41,10 +36,9 @@ let run socket tcp jobs shards queue backlog deadline cache_mb cache_dir tier qu
           shards = (match shards with Some s -> max 1 s | None -> d.Server.shards);
           domains;
           max_pending = (match queue with Some q -> max 1 q | None -> 4 * domains);
-          backlog;
           default_deadline_s = deadline;
           cache_max_bytes = cache_mb * 1024 * 1024;
-          cache_dir = (match tier with Some _ -> tier | None -> cache_dir);
+          cache_dir = tier;
           log;
         }
       in
@@ -52,16 +46,7 @@ let run socket tcp jobs shards queue backlog deadline cache_mb cache_dir tier qu
       let request_stop _ = Atomic.set stop true in
       ignore (Sys.signal Sys.sigint (Sys.Signal_handle request_stop));
       ignore (Sys.signal Sys.sigterm (Sys.Signal_handle request_stop));
-      (* --tier differs from --cache-dir only in startup behaviour: the
-         shared directory is preloaded into the memory LRU, so a restarted
-         or second daemon starts warm instead of paying disk hits. *)
-      match tier with
-      | None -> Server.serve ~stop cfg
-      | Some dir ->
-          let cache = Server.cache_of_config cfg in
-          let n = Ee_cache.Cache.preload cache in
-          log (Printf.sprintf "tier %s: preloaded %d entries" dir n);
-          Server.serve ~cache ~stop cfg
+      Server.serve ~stop cfg
 
 let socket_t =
   Arg.(
@@ -95,13 +80,6 @@ let queue_t =
     & info [ "queue" ] ~docv:"N"
         ~doc:"Admission bound: requests in flight before rejecting with 'overloaded' (default 4x jobs).")
 
-let backlog_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "backlog" ] ~docv:"N"
-        ~doc:"Listen backlog (default: max 64 queue).")
-
 let deadline_t =
   Arg.(
     value
@@ -112,20 +90,15 @@ let deadline_t =
 let cache_mb_t =
   Arg.(value & opt int 64 & info [ "cache-mb" ] ~docv:"MB" ~doc:"In-memory result cache budget.")
 
-let cache_dir_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Persist cache entries to this directory.")
-
 let tier_t =
   Arg.(
     value
     & opt (some string) None
     & info [ "tier" ] ~docv:"DIR"
         ~doc:
-          "Shared cross-instance cache tier: like --cache-dir, but existing entries are \
-           preloaded at startup.  Safe to share between two daemons on one host.")
+          "Shared cross-instance cache tier: results are persisted here and existing \
+           entries are preloaded at startup.  Safe to share between two daemons on one \
+           host.")
 
 let quiet_t = Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress the startup/shutdown log lines.")
 
@@ -134,7 +107,7 @@ let main =
   Cmd.v
     (Cmd.info "ee_synthd" ~doc)
     Term.(
-      const run $ socket_t $ tcp_t $ jobs_t $ shards_t $ queue_t $ backlog_t
-      $ deadline_t $ cache_mb_t $ cache_dir_t $ tier_t $ quiet_t)
+      const run $ socket_t $ tcp_t $ jobs_t $ shards_t $ queue_t $ deadline_t
+      $ cache_mb_t $ tier_t $ quiet_t)
 
 let () = exit (Cmd.eval main)

@@ -116,18 +116,9 @@ let insert t k v =
    served: it is moved into a [quarantine/] subdirectory and the lookup
    proceeds as a miss, so the next computation heals the tier.
 
-   An append-only [index] file records one "<key> <bytes>" line per
-   insertion (O_APPEND, one small write per line — atomic on POSIX for
-   lines this short), giving later instances the insertion order for
-   {!preload} and cheap {!tier_stats} without a directory scan.  The
-   index is advisory: {!find} reads entry files directly, so a lost or
-   stale index line can only make {!preload} skip an entry, never serve
-   the wrong one.  Rewrites of one key append a line each, so the index
-   grows without bound; {!compact_index} rewrites it (tmp-then-rename)
-   keeping only the newest line per still-existing key, and {!preload}
-   compacts automatically when dead lines dominate. *)
-
-let index_file = "index"
+   The directory itself is the only record of what the tier holds:
+   {!tier_stats} and {!preload} list it, so no other file has to be kept
+   in step with the entries. *)
 
 let entry_magic = "eecs1"
 
@@ -135,27 +126,22 @@ let quarantine_dir = "quarantine"
 
 let entry_path dir k = Filename.concat dir k
 
-(* Only content-addressed entries look like hex digests; the index,
-   quarantine directory and in-flight temporaries never do. *)
+(* Only content-addressed entries look like hex digests; the quarantine
+   directory, in-flight temporaries and any stray file never do. *)
 let is_entry_name name =
   String.length name = 32
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) name
 
-let index_append dir k size =
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644
-      (Filename.concat dir index_file)
-  in
-  output_string oc (Printf.sprintf "%s %d\n" k size);
-  close_out oc
-
-(* Atomic whole-index rewrite; the lines are already formatted. *)
-let index_write dir entries =
-  let tmp = Filename.temp_file ~temp_dir:dir ".tmp-" "" in
-  let oc = open_out_bin tmp in
-  List.iter (fun (k, size) -> output_string oc (Printf.sprintf "%s %d\n" k size)) entries;
-  close_out oc;
-  Sys.rename tmp (Filename.concat dir index_file)
+(* (key, file bytes, mtime) of every entry file present right now.  An
+   entry renamed away between the listing and its [stat] is skipped. *)
+let list_entries dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter_map (fun k ->
+         if not (is_entry_name k) then None
+         else
+           match Unix.stat (entry_path dir k) with
+           | st -> Some (k, st.Unix.st_size, st.Unix.st_mtime)
+           | exception Unix.Unix_error _ -> None)
 
 (* Entry file verification.  [`Corrupt] covers every way the payload can
    fail to match its header: missing header (including pre-checksum legacy
@@ -198,64 +184,6 @@ let quarantine_entry dir k =
   in
   try Sys.rename (entry_path dir k) (dest 0) with Sys_error _ -> ()
 
-(* (key, bytes) pairs in insertion order (oldest first), duplicates kept.
-   Falls back to a verifying directory scan — healing the index — for
-   tiers whose index was lost; the healed index is written compacted. *)
-let index_read dir =
-  let from_index () =
-    let ic = open_in_bin (Filename.concat dir index_file) in
-    let entries = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match String.index_opt line ' ' with
-         | Some i ->
-             let k = String.sub line 0 i in
-             let size =
-               int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
-             in
-             if is_entry_name k then
-               entries := (k, Option.value size ~default:0) :: !entries
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !entries
-  in
-  if Sys.file_exists (Filename.concat dir index_file) then from_index ()
-  else begin
-    let scanned =
-      Array.to_list (Sys.readdir dir)
-      |> List.filter is_entry_name
-      |> List.filter_map (fun k ->
-             match read_entry dir k with
-             | `Ok v -> Some (k, String.length v)
-             | `Corrupt _ ->
-                 quarantine_entry dir k;
-                 None
-             | `Missing -> None)
-    in
-    index_write dir scanned;
-    scanned
-  end
-
-(* Newest line per key whose entry file still exists, back in oldest-first
-   order.  Returns (kept, dropped-line-count). *)
-let compacted_entries dir =
-  let all = index_read dir in
-  let seen = Hashtbl.create 256 in
-  let kept_rev =
-    List.filter
-      (fun (k, _) ->
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          Sys.file_exists (entry_path dir k)
-        end)
-      (List.rev all)
-  in
-  (List.rev kept_rev, List.length all - List.length kept_rev)
-
 let persist dir k v =
   (* [temp_file] picks a fresh name atomically even across processes; the
      ".tmp-" prefix keeps it out of {!is_entry_name}'s namespace. *)
@@ -267,8 +195,7 @@ let persist dir k v =
        (String.length v));
   output_string oc v;
   close_out oc;
-  Sys.rename tmp (entry_path dir k);
-  index_append dir k (String.length v)
+  Sys.rename tmp (entry_path dir k)
 
 (* Caller holds the lock (for the [quarantined] counter). *)
 let read_disk t dir k =
@@ -334,69 +261,41 @@ type tier_stats = { tier_entries : int; tier_bytes : int }
 let tier_stats t =
   Option.map
     (fun dir ->
-      (* Last write wins: later index lines supersede earlier ones. *)
-      let latest = Hashtbl.create 256 in
-      List.iter (fun (k, size) -> Hashtbl.replace latest k size) (index_read dir);
-      Hashtbl.fold
-        (fun _ size acc ->
+      List.fold_left
+        (fun acc (_, size, _) ->
           { tier_entries = acc.tier_entries + 1; tier_bytes = acc.tier_bytes + size })
-        latest
-        { tier_entries = 0; tier_bytes = 0 })
+        { tier_entries = 0; tier_bytes = 0 }
+        (list_entries dir))
     t.persist_dir
 
-let compact_index t =
+let preload t =
   match t.persist_dir with
   | None -> 0
   | Some dir ->
-      locked t (fun () ->
-          let kept, dropped = compacted_entries dir in
-          if dropped > 0 then index_write dir kept;
-          dropped)
-
-(* Dead index lines "dominate" once they outnumber the live ones (with a
-   small floor so a tier of three entries is not rewritten constantly). *)
-let auto_compact dir entries =
-  let distinct = Hashtbl.create 256 in
-  List.iter (fun (k, _) -> Hashtbl.replace distinct k ()) entries;
-  let dead = List.length entries - Hashtbl.length distinct in
-  if dead > Hashtbl.length distinct && dead >= 8 then begin
-    let kept, dropped = compacted_entries dir in
-    if dropped > 0 then index_write dir kept
-  end
-
-let preload ?limit t =
-  match t.persist_dir with
-  | None -> 0
-  | Some dir ->
-      (* Newest-first unique keys, truncated to [limit], then inserted
-         oldest-first so the newest entry ends up most-recently-used. *)
-      let all = index_read dir in
-      auto_compact dir all;
-      let seen = Hashtbl.create 256 in
+      (* Newest first (mtime, ties broken by name), keeping entries while
+         they fit the budget together; then inserted oldest-first so the
+         newest entry ends up most-recently-used and nothing is evicted. *)
       let newest_first =
-        List.filter
-          (fun k ->
-            if Hashtbl.mem seen k then false
-            else begin
-              Hashtbl.add seen k ();
-              true
-            end)
-          (List.rev_map fst all)
+        List.sort
+          (fun (k1, _, m1) (k2, _, m2) ->
+            match Float.compare m2 m1 with 0 -> String.compare k2 k1 | c -> c)
+          (list_entries dir)
       in
-      let chosen =
-        match limit with
-        | None -> newest_first
-        | Some n -> List.filteri (fun i _ -> i < max 0 n) newest_first
-      in
-      let loaded = ref 0 in
       locked t (fun () ->
-          List.iter
-            (fun k ->
-              if not (Hashtbl.mem t.table k) then
+          let rec take budget acc = function
+            | [] -> acc
+            | (k, _, _) :: rest when Hashtbl.mem t.table k -> take budget acc rest
+            | (k, _, _) :: rest -> (
                 match read_disk t dir k with
+                | None -> take budget acc rest
                 | Some v ->
-                    insert t k v;
-                    incr loaded
-                | None -> ())
-            (List.rev chosen));
-      !loaded
+                    let size = String.length k + String.length v in
+                    (* An entry larger than the whole budget never lives in
+                       memory (see [insert]); it does not end the run. *)
+                    if size > t.max_bytes then take budget acc rest
+                    else if size > budget then acc
+                    else take (budget - size) ((k, v) :: acc) rest)
+          in
+          let chosen = take (t.max_bytes - t.bytes) [] newest_first in
+          List.iter (fun (k, v) -> insert t k v) chosen;
+          List.length chosen)

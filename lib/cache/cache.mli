@@ -19,23 +19,18 @@
     in one process or in several daemon processes on the same host — may
     share one [persist_dir].  Writers never expose torn values (unique
     temp file + atomic rename; concurrent writers of the same key race
-    benignly, the content is identical by construction), and an
-    append-only [index] file records insertion order so {!preload} and
-    {!tier_stats} avoid directory scans.  A tier whose index was lost is
-    healed by scanning once (writing a fresh compacted index).
+    benignly, the content is identical by construction).  The directory
+    listing is the tier's only record: {!tier_stats} and {!preload} read
+    the 32-hex entry names and their [stat], and ignore every other file
+    (temporaries, [quarantine/], or an [index] left by older versions).
 
     Every entry file carries a checksum header (md5 + payload size),
-    verified on every disk read — {!find} fallbacks, {!preload}, and the
-    healing rescan alike.  An entry that fails verification (truncated by
-    a crash mid-write, manually corrupted, or written by a pre-checksum
-    version) is {e quarantined}: moved into a [quarantine/] subdirectory,
-    counted in {!stats.quarantined}, and the lookup proceeds as a miss so
-    the next computation rewrites it.  A corrupt entry is never served.
-
-    The index is advisory — {!find} reads entry files directly — so a
-    stale or lost index line can make {!preload} skip an entry but never
-    serve a wrong one.  Rewriting a key appends a new line each time;
-    {!compact_index} bounds that growth. *)
+    verified on every disk read — {!find} fallbacks and {!preload} alike.
+    An entry that fails verification (truncated by a crash mid-write,
+    manually corrupted, or written by a pre-checksum version) is
+    {e quarantined}: moved into a [quarantine/] subdirectory, counted in
+    {!stats.quarantined}, and the lookup proceeds as a miss so the next
+    computation rewrites it.  A corrupt entry is never served. *)
 
 type t
 
@@ -75,29 +70,20 @@ val clear : t -> unit
 (** Drop every in-memory entry (counters and disk files are kept). *)
 
 type tier_stats = {
-  tier_entries : int;  (** Distinct keys recorded in the tier index. *)
-  tier_bytes : int;  (** Payload bytes of those entries (latest write per key). *)
+  tier_entries : int;  (** Entry files in the tier directory (one per key). *)
+  tier_bytes : int;  (** Their file sizes summed, checksum headers included. *)
 }
 
 val tier_stats : t -> tier_stats option
-(** Size of the shared on-disk tier, from the index ([None] without
-    [persist_dir]).  Counts entries written by {e any} instance sharing
-    the directory, not just this one. *)
+(** Size of the shared on-disk tier, from a listing of its directory
+    ([None] without [persist_dir]).  Counts entries written by {e any}
+    instance sharing the directory, not just this one. *)
 
-val preload : ?limit:int -> t -> int
-(** Load tier entries into the in-memory LRU, newest insertions first,
-    stopping after [limit] entries (default: all).  Returns the number
-    loaded.  Preloaded entries count as neither hits nor insertions; the
-    newest entry ends up most recently used.  Every entry is
-    checksum-verified; corrupt ones are quarantined and skipped.  When
-    dead index lines dominate the live ones the index is compacted as a
-    side effect. *)
-
-val compact_index : t -> int
-(** Rewrite the tier index (unique temp file, then atomic rename),
-    keeping only the newest line per key whose entry file still exists.
-    Returns the number of dead lines dropped ([0] without [persist_dir]).
-    Safe against concurrent readers (they see either index); a line
-    appended by a concurrent {e writer} during the rewrite can be lost,
-    which at worst makes a later {!preload} skip that entry — {!find}
-    still serves it from its file. *)
+val preload : t -> int
+(** Load tier entries into the in-memory LRU: the newest entries (by file
+    mtime, ties broken by name) that fit [max_bytes] together, inserted
+    oldest-first so the newest ends up most recently used.  An entry
+    larger than the whole budget is skipped.  Returns the number loaded.
+    Preloaded entries count as neither hits nor insertions, and keys
+    already resident are left alone.  Every entry is checksum-verified;
+    corrupt ones are quarantined and skipped. *)

@@ -77,6 +77,11 @@ let raw_compact s =
 
 exception Bad of int * string
 
+(* Arrays and objects nested deeper than this are rejected: the parser
+   recurses once per level, and a request line of a few million '['
+   would otherwise cost seconds and hundreds of MiB before failing. *)
+let max_depth = 512
+
 let parse text =
   let n = String.length text in
   let pos = ref 0 in
@@ -175,10 +180,11 @@ let parse text =
         | Some f -> Float f
         | None -> fail "bad number %S" s)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth -> fail "nesting deeper than %d" max_depth
     | Some '{' ->
         advance ();
         skip_ws ();
@@ -190,7 +196,7 @@ let parse text =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -208,7 +214,7 @@ let parse text =
         else begin
           let items = ref [] in
           let rec elements () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -227,7 +233,7 @@ let parse text =
     | Some c -> fail "unexpected character '%c'" c
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -36,7 +36,9 @@ val raw_compact : string -> t
 
 val parse : string -> (t, string) result
 (** Parse one JSON document; trailing whitespace is allowed, any other
-    trailing garbage is an error.  Errors carry a character offset. *)
+    trailing garbage is an error.  Arrays and objects nested more than
+    512 deep are an error too, found at the first level past the bound.
+    Errors carry a character offset. *)
 
 (** {1 Accessors} (shallow, total) *)
 

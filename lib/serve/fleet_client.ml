@@ -5,7 +5,6 @@ type policy = {
   base_backoff_s : float;
   max_backoff_s : float;
   jitter : float;
-  connect_retries : int;
   recv_timeout_s : float option;
 }
 
@@ -15,7 +14,6 @@ let default_policy =
     base_backoff_s = 0.05;
     max_backoff_s = 2.0;
     jitter = 0.25;
-    connect_retries = 1;
     recv_timeout_s = Some 30.;
   }
 
@@ -96,10 +94,7 @@ let ensure_conn t =
         if k >= n then Error last_err
         else
           let addr = t.endpoints.(t.cur) in
-          match
-            Client.connect ~retries:t.policy.connect_retries
-              ?recv_timeout_s:t.policy.recv_timeout_s addr
-          with
+          match Client.connect ?recv_timeout_s:t.policy.recv_timeout_s addr with
           | c ->
               t.conn <- Some c;
               Ok c
@@ -120,8 +115,7 @@ let triage line =
       | Some (Json.String "error") -> (
           let hint = Option.bind (Json.member "retry_after_s" j) Json.to_float in
           match Json.member "error" j with
-          | Some (Json.String (("throttled" | "shed" | "overloaded") as code)) ->
-              `Retry (code, hint)
+          | Some (Json.String "overloaded") -> `Retry ("overloaded", hint)
           | Some (Json.String "shutting_down") -> `Failover ("shutting_down", hint)
           | _ -> `Done)
       | _ -> `Done)

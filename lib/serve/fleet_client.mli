@@ -3,10 +3,10 @@
     Wraps {!Client} with the availability policy a multi-process fleet
     needs: connect to any of the configured endpoints, fail over to the
     next on connect or IO errors (closed connection, {!Client.Timeout},
-    [Unix_error]), and automatically retry the graded back-pressure
-    rejections ([throttled]/[shed]/[overloaded]) on the same endpoint —
-    honoring the server's [retry_after_s] hint — with capped, jittered
-    exponential backoff.  [shutting_down] rejections fail over instead of
+    [Unix_error]), and automatically retry [overloaded] rejections on the
+    same endpoint — honoring the server's [retry_after_s] hint — with
+    capped, jittered exponential backoff.  This loop is the only retry:
+    each attempt connects at most once per endpoint.  [shutting_down] rejections fail over instead of
     waiting: a draining server will not come back.
 
     One [t] is single-owner (no internal locking) and holds at most one
@@ -22,13 +22,12 @@ type policy = {
   jitter : float;
       (** Fraction of the exponential delay randomly shaved off, in
           [0,1]: delay is drawn from [[exp*(1-jitter), exp]]. *)
-  connect_retries : int;  (** Passed to {!Client.connect} per endpoint. *)
   recv_timeout_s : float option;  (** Per-response receive timeout. *)
 }
 
 val default_policy : policy
-(** 5 attempts, 50 ms base doubling to a 2 s cap, 25 % jitter, 1 connect
-    retry, 30 s receive timeout. *)
+(** 5 attempts, 50 ms base doubling to a 2 s cap, 25 % jitter, 30 s
+    receive timeout. *)
 
 type failure =
   | Rejected of { code : string; attempts : int; line : string }

@@ -57,17 +57,12 @@
     v}
 
     Error codes: [bad_request] (malformed JSON, unknown cmd, bad BLIF),
-    [not_found] (unknown benchmark id), [throttled] (graded back-pressure:
-    the shard is past its throttle watermark and the request is
-    non-cacheable — retry after the accompanying ["retry_after_s"] hint),
-    [shed] (past the shed watermark: non-cacheable work is dropped to
-    protect cacheable throughput; back off harder than the hint),
-    [overloaded] (hard admission bound reached; nothing is admitted),
+    [not_found] (unknown benchmark id), [overloaded] (the admission bound
+    is reached; nothing more is admitted until work completes),
     [deadline_exceeded] (the deadline elapsed first — the computation
     still completes in the background and warms the cache), [internal]
-    (the computation raised), [shutting_down].  [throttled], [shed] and
-    [overloaded] responses carry a ["retry_after_s"] float estimating
-    when capacity frees up.  Responses on one connection always arrive
+    (the computation raised), [shutting_down].  [overloaded] responses
+    carry a ["retry_after_s"] float estimating when capacity frees up.  Responses on one connection always arrive
     in request order. *)
 
 type request =
@@ -125,4 +120,4 @@ val error_response :
   string ->
   string
 (** A single-line ["status":"error"] response.  [retry_after_s] adds the
-    back-pressure hint field carried by [throttled]/[shed]/[overloaded]. *)
+    back-pressure hint field carried by [overloaded]. *)

@@ -4,7 +4,6 @@ module Cache = Ee_cache.Cache
 module Pool = Ee_util.Pool
 module Stats = Ee_util.Stats
 module Engine = Ee_engine.Engine
-module Trace = Ee_engine.Trace
 module Pipeline = Ee_report.Pipeline
 module Tables = Ee_report.Tables
 module Itc99 = Ee_bench_circuits.Itc99
@@ -16,13 +15,9 @@ type config = {
   shards : int;
   domains : int;
   max_pending : int;
-  throttle_pending : int option;
-  shed_pending : int option;
-  backlog : int option;
   default_deadline_s : float option;
   cache_max_bytes : int;
   cache_dir : string option;
-  trace : Trace.t option;
   shutdown_grace_s : float;
   max_request_bytes : int;
   log : string -> unit;
@@ -34,38 +29,16 @@ let default_config =
     shards = 1;
     domains = Domain.recommended_domain_count ();
     max_pending = 4 * Domain.recommended_domain_count ();
-    throttle_pending = None;
-    shed_pending = None;
-    backlog = None;
     default_deadline_s = None;
     cache_max_bytes = 64 * 1024 * 1024;
     cache_dir = None;
-    trace = None;
     shutdown_grace_s = 5.;
     max_request_bytes = 8 * 1024 * 1024;
     log = ignore;
   }
 
-(* Watermarks of the graded admission ladder, clamped into
-   1 <= throttle <= shed <= max_pending. *)
-let tier_thresholds cfg =
-  let throttle =
-    match cfg.throttle_pending with
-    | Some t -> max 1 (min t cfg.max_pending)
-    | None -> max 1 (cfg.max_pending / 2)
-  in
-  let shed =
-    match cfg.shed_pending with
-    | Some s -> min (max throttle s) cfg.max_pending
-    | None -> max throttle (3 * cfg.max_pending / 4)
-  in
-  (throttle, shed)
-
-let backlog_of cfg =
-  match cfg.backlog with Some b -> max 1 b | None -> max 64 cfg.max_pending
-
-let cache_of_config cfg =
-  Cache.create ~max_bytes:cfg.cache_max_bytes ?persist_dir:cfg.cache_dir ()
+(* Sized so a connection burst survives until the acceptor catches up. *)
+let backlog_of cfg = max 64 cfg.max_pending
 
 (* -------------------------------------------------------------------- *)
 (* Request computation (runs on pool worker domains)                    *)
@@ -171,8 +144,8 @@ let search_json ~spec nl =
           ] );
     ]
 
-let synth_bench_json ?trace ~spec ~search b =
-  let r = Engine.run ~spec ?trace b in
+let synth_bench_json ~spec ~search b =
+  let r = Engine.run ~spec b in
   let row = row_json r.Engine.row r.Engine.artifact.Pipeline.synth_report spec in
   if not search then row
   else
@@ -313,35 +286,27 @@ let probe_key (req : Protocol.request) =
   | Protocol.Sleep _ | Protocol.Shutdown ->
       None
 
-let with_trace trace ~bench name f =
-  match trace with None -> f () | Some t -> Trace.with_span t ~bench name f
-
 (* Returns (result payload, served-from-cache). *)
-let compute ~trace ~cache (req : Protocol.request) =
+let compute ~cache (req : Protocol.request) =
   match req with
   | Protocol.Stats | Protocol.Health | Protocol.Ping | Protocol.Shutdown ->
       invalid_arg "Server.compute: inline command" (* handled by the event loop *)
   | Protocol.Sleep s ->
-      with_trace trace ~bench:"" "sleep" (fun () ->
-          Unix.sleepf s;
-          (Json.Obj [ ("slept_s", Json.Float s) ], false))
+      Unix.sleepf s;
+      (Json.Obj [ ("slept_s", Json.Float s) ], false)
   | Protocol.Synth { source; spec; search } -> (
       let extras = if search then [ "search" ] else [] in
       match source with
       | `Bench bid ->
           let b = find_bench bid in
-          with_trace trace ~bench:bid "synth" (fun () ->
-              let key =
-                bench_key ~cmd:"synth" ~blif:(canonical_bench_blif b) ~spec extras
-              in
-              with_cache cache key (fun () -> synth_bench_json ?trace ~spec ~search b))
+          let key = bench_key ~cmd:"synth" ~blif:(canonical_bench_blif b) ~spec extras in
+          with_cache cache key (fun () -> synth_bench_json ~spec ~search b)
       | `Blif text -> (
           match Ee_frontend.Frontend.parse ~format:Ee_frontend.Frontend.Blif text with
           | Error e -> raise (Reject ("bad_request", e))
           | Ok nl ->
-              with_trace trace ~bench:"netlist" "synth" (fun () ->
-                  let key = bench_key ~cmd:"synth" ~blif:(Blif.to_blif nl) ~spec extras in
-                  with_cache cache key (fun () -> synth_netlist_json ~search ~spec nl))))
+              let key = bench_key ~cmd:"synth" ~blif:(Blif.to_blif nl) ~spec extras in
+              with_cache cache key (fun () -> synth_netlist_json ~search ~spec nl)))
   | Protocol.Import { text; format; remap; spec } -> (
       match Ee_frontend.Frontend.parse ?format text with
       | Error e -> raise (Reject ("bad_request", e))
@@ -351,40 +316,27 @@ let compute ~trace ~cache (req : Protocol.request) =
             | Some f -> f
             | None -> Ee_frontend.Frontend.detect text
           in
-          with_trace trace ~bench:"import" "import" (fun () ->
-              (* Content-addressed on the canonical BLIF of the parsed
-                 netlist, so the same circuit arriving as BLIF, ASCII or
-                 binary AIGER shares compute per (remap, spec); the source
-                 format stays in the key because the payload echoes it. *)
-              let key =
-                bench_key ~cmd:"import" ~blif:(Blif.to_blif nl) ~spec
-                  [ string_of_bool remap; Ee_frontend.Frontend.format_to_string format ]
-              in
-              with_cache cache key (fun () -> import_json ~spec ~remap ~format nl)))
+          (* Content-addressed on the canonical BLIF of the parsed netlist,
+             so the same circuit arriving as BLIF, ASCII or binary AIGER
+             shares compute per (remap, spec); the source format stays in
+             the key because the payload echoes it. *)
+          let key =
+            bench_key ~cmd:"import" ~blif:(Blif.to_blif nl) ~spec
+              [ string_of_bool remap; Ee_frontend.Frontend.format_to_string format ]
+          in
+          with_cache cache key (fun () -> import_json ~spec ~remap ~format nl))
   | Protocol.Perf { bench; spec; waves } ->
       let b = find_bench bench in
-      with_trace trace ~bench "perf" (fun () ->
-          let key =
-            bench_key ~cmd:"perf" ~blif:(canonical_bench_blif b) ~spec
-              [ string_of_int waves ]
-          in
-          with_cache cache key (fun () -> perf_json ~spec ~waves b))
+      let key =
+        bench_key ~cmd:"perf" ~blif:(canonical_bench_blif b) ~spec [ string_of_int waves ]
+      in
+      with_cache cache key (fun () -> perf_json ~spec ~waves b)
   | Protocol.Faults { bench; spec; waves } ->
       let b = find_bench bench in
-      with_trace trace ~bench "faults" (fun () ->
-          let key =
-            bench_key ~cmd:"faults" ~blif:(canonical_bench_blif b) ~spec
-              [ string_of_int waves ]
-          in
-          with_cache cache key (fun () -> faults_json ~spec ~waves b))
-
-(* Is the computation's result cacheable?  Cacheable work is never
-   throttled or shed below the hard bound: rejecting it forfeits a cache
-   fill that would absorb the repeat traffic causing the load. *)
-let cacheable_req = function
-  | Protocol.Synth _ | Protocol.Import _ | Protocol.Perf _ | Protocol.Faults _ -> true
-  | Protocol.Sleep _ -> false
-  | Protocol.Stats | Protocol.Health | Protocol.Ping | Protocol.Shutdown -> false
+      let key =
+        bench_key ~cmd:"faults" ~blif:(canonical_bench_blif b) ~spec [ string_of_int waves ]
+      in
+      with_cache cache key (fun () -> faults_json ~spec ~waves b)
 
 (* -------------------------------------------------------------------- *)
 (* Metrics (shared across shards and workers; one small mutex)          *)
@@ -524,7 +476,6 @@ let shards_json shards =
 let metrics_json m ~inflight ~cfg ~cache ~shards =
   let cs = Cache.stats cache in
   let tier = Cache.tier_stats cache in
-  let throttle, shed = tier_thresholds cfg in
   m_locked m (fun () ->
       let cmds =
         List.sort_uniq compare
@@ -575,10 +526,7 @@ let metrics_json m ~inflight ~cfg ~cache ~shards =
           ("requests_total", Json.Int m.total);
           ("inflight", Json.Int inflight);
           ("queue_limit", Json.Int cfg.max_pending);
-          ("throttle_pending", Json.Int throttle);
-          ("shed_pending", Json.Int shed);
-          ( "tiers",
-            Json.Obj (List.map tier_count [ "ok"; "throttled"; "shed"; "overloaded" ]) );
+          ("tiers", Json.Obj (List.map tier_count [ "ok"; "overloaded" ]));
           ("shards", shards_json shards);
           ("commands", Json.Obj (List.map command_json cmds));
           ( "cache",
@@ -703,7 +651,6 @@ let write_all conn line =
     with Unix.Unix_error _ -> conn.alive <- false
 
 let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
-  let throttle, shed = tier_thresholds cfg in
   let workers = Pool.size pool in
   let conns : conn list ref = ref [] in
   let stop_at = ref None in
@@ -765,21 +712,21 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
                        ~elapsed_ms:((now () -. t0) *. 1000.)
                        (Json.Raw payload))
               | None ->
-                  (* Graded admission.  [admitted] counts lines admitted
+                  (* One admission bound.  [admitted] counts lines admitted
                      earlier in this same batch, whose slices are not yet
                      submitted — without it a pipelined batch would be
                      classified against a stale in-flight count. *)
                   let eff = Atomic.get inflight + !admitted in
-                  let reject tier detail =
-                    bump_tier metrics tier;
-                    let retry_after_s =
-                      retry_after_hint metrics ~inflight:eff ~workers
-                    in
-                    answer ~cmd ~outcome:(`Error tier)
-                      (Protocol.error_response ~retry_after_s ~id ~cmd ~code:tier
-                         detail)
-                  in
-                  let admit () =
+                  if eff >= cfg.max_pending then begin
+                    bump_tier metrics "overloaded";
+                    answer ~cmd ~outcome:(`Error "overloaded")
+                      (Protocol.error_response
+                         ~retry_after_s:(retry_after_hint metrics ~inflight:eff ~workers)
+                         ~id ~cmd ~code:"overloaded"
+                         (Printf.sprintf "admission queue full (%d in flight)"
+                            cfg.max_pending))
+                  end
+                  else begin
                     bump_tier metrics "ok";
                     incr admitted;
                     let deadline =
@@ -788,25 +735,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
                       | None, None -> None
                     in
                     Admit { req; cmd; id; t0; deadline }
-                  in
-                  if eff >= cfg.max_pending then
-                    reject "overloaded"
-                      (Printf.sprintf "admission queue full (%d in flight)"
-                         cfg.max_pending)
-                  else if cacheable_req req then admit ()
-                  else if eff >= shed then
-                    reject "shed"
-                      (Printf.sprintf
-                         "load shedding non-cacheable work (%d in flight >= shed \
-                          watermark %d)"
-                         eff shed)
-                  else if eff >= throttle then
-                    reject "throttled"
-                      (Printf.sprintf
-                         "past throttle watermark (%d in flight >= %d); retry after \
-                          the hint"
-                         eff throttle)
-                  else admit ()))
+                  end))
   in
 
   (* -- batch slice submission: the admitted lines of one read, chunked
@@ -832,7 +761,7 @@ let shard_loop ~cfg ~pool ~cache ~metrics ~inflight ~stop ~shards sh =
             for j = lo to hi - 1 do
               let t_start = now () in
               let res =
-                try Ok (compute ~trace:cfg.trace ~cache (req_of admits.(j)))
+                try Ok (compute ~cache (req_of admits.(j)))
                 with e -> Error e
               in
               Atomic.decr inflight;
@@ -1082,8 +1011,14 @@ let acceptor ~cfg ~stop ~shards listen_fd =
   in
   loop ()
 
-let serve ?cache ?stop cfg =
-  let cache = match cache with Some c -> c | None -> cache_of_config cfg in
+let serve ?stop cfg =
+  let cache = Cache.create ~max_bytes:cfg.cache_max_bytes ?persist_dir:cfg.cache_dir () in
+  (* A restarted or second daemon on a shared tier starts warm instead of
+     paying a disk hit per first request. *)
+  Option.iter
+    (fun dir ->
+      cfg.log (Printf.sprintf "tier %s: preloaded %d entries" dir (Cache.preload cache)))
+    cfg.cache_dir;
   let stop = match stop with Some s -> s | None -> Atomic.make false in
   (match Sys.os_type with
   | "Unix" -> ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)

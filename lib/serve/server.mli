@@ -15,12 +15,10 @@
       the pool as slices ([map_chunked]-style, at most two slices per
       worker), each element with its own result slot so one slow element
       never delays a finished sibling;
-    - admission is graded, not binary.  With [i] requests in flight
-      (batch-locally adjusted): cacheable work ([synth]/[perf]/[faults])
-      is admitted until [i >= max_pending] ([overloaded]); non-cacheable
-      work ([sleep]) is admitted below the throttle watermark, answered
-      [throttled] from there, [shed] past the shed watermark, and
-      [overloaded] at the hard bound.  Every rejection carries a
+    - admission has one bound: every computing command, [sleep]
+      included, is admitted while fewer than [max_pending] requests are
+      in flight (counting those admitted earlier in the same batch) and
+      answered [overloaded] from there.  The rejection carries a
       ["retry_after_s"] hint derived from an EWMA of worker occupancy;
     - each admitted request may carry a deadline (its own ["deadline_s"],
       else [default_deadline_s]); when it expires the client gets a
@@ -31,10 +29,10 @@
       of the netlist, {!Ee_engine.Engine.spec_fingerprint}, run
       parameters).  The shards share one [Cache.t]; computation happens
       outside its lock.  With [cache_dir] the directory is a
-      cross-instance tier (see {!Ee_cache.Cache}): two daemons on one
-      host can share it safely;
+      cross-instance tier (see {!Ee_cache.Cache}), preloaded at startup:
+      two daemons on one host can share it safely;
     - [stats]/[ping]/[shutdown] are answered inline by the owning shard;
-      [stats] reports per-tier admission counts, per-shard request counts
+      [stats] reports admitted/overloaded counts, per-shard request counts
       and balance, and disk-tier size alongside the existing per-command
       latency percentiles.
 
@@ -52,24 +50,12 @@ type config = {
   address : address;
   shards : int;  (** IO shard domains (clamped to 1..64). *)
   domains : int;  (** Worker domains in the compute pool. *)
-  max_pending : int;  (** Hard admission bound: max requests in flight. *)
-  throttle_pending : int option;
-      (** Non-cacheable work is [throttled] from this many in flight.
-          Default [max_pending / 2]. *)
-  shed_pending : int option;
-      (** Non-cacheable work is [shed] from this many in flight.
-          Default [3 * max_pending / 4]; clamped to
-          [throttle <= shed <= max_pending]. *)
-  backlog : int option;
-      (** Listen backlog.  Default [max 64 max_pending] — sized so a
-          connection burst survives until the acceptor catches up. *)
+  max_pending : int;  (** Admission bound: max requests in flight. *)
   default_deadline_s : float option;  (** Per-request default; [None] = no deadline. *)
   cache_max_bytes : int;
-  cache_dir : string option;  (** Persist cache entries here when set (cross-instance tier). *)
-  trace : Ee_engine.Trace.t option;
-      (** When set, every request records a span (and [synth] its pipeline
-          stages).  Spans accumulate for the server's lifetime — meant for
-          bounded profiling sessions, not always-on production use. *)
+  cache_dir : string option;
+      (** Cross-instance tier: preloaded at startup, then every result is
+          persisted here. *)
   shutdown_grace_s : float;
       (** How long shutdown waits for in-flight requests before answering
           them with [shutting_down]. *)
@@ -79,23 +65,15 @@ type config = {
 
 val default_config : config
 (** Unix socket ["ee_synthd.sock"], 1 shard, pool of
-    [Domain.recommended_domain_count], [max_pending] = 4× domains,
-    default watermarks and backlog, no default deadline, 64 MiB in-memory
-    cache, no persistence, no trace, 5 s grace, 8 MiB request bound,
-    silent log. *)
-
-val tier_thresholds : config -> int * int
-(** [(throttle, shed)] after defaulting and clamping. *)
+    [Domain.recommended_domain_count], [max_pending] = 4× domains, no
+    default deadline, 64 MiB in-memory cache, no persistence, 5 s grace,
+    8 MiB request bound, silent log. *)
 
 val backlog_of : config -> int
-(** The listen backlog after defaulting. *)
+(** The listen backlog: [max 64 max_pending], so a connection burst
+    survives until the acceptor catches up. *)
 
-val cache_of_config : config -> Ee_cache.Cache.t
-(** The cache [serve] would create — exposed so tests and benches can
-    inspect a shared instance by building it first and passing it via
-    {!serve}'s [?cache]. *)
-
-val serve : ?cache:Ee_cache.Cache.t -> ?stop:bool Atomic.t -> config -> unit
+val serve : ?stop:bool Atomic.t -> config -> unit
 (** Run the service until a [shutdown] request arrives or [stop] (checked
     every loop tick, settable from a signal handler) becomes true.  Binds
     the socket, owns it for the duration, spawns and joins the shard

@@ -51,6 +51,9 @@ let test_oversize_value () =
   Alcotest.(check int) "oversize value not kept in memory" 0 s.Cache.entries;
   Alcotest.(check int) "no lingering bytes" 0 s.Cache.bytes
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
 let with_temp_dir f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -83,10 +86,17 @@ let test_persistence () =
       ignore (Cache.find c2 k);
       Alcotest.(check int) "memory hit after re-population" 1 (Cache.stats c2).Cache.hits)
 
+(* Bytes of a tier entry file: the "eecs1 <md5> <size>" header line plus
+   the payload. *)
+let file_bytes v =
+  String.length
+    (Printf.sprintf "eecs1 %s %d\n" (Digest.to_hex (Digest.string v)) (String.length v))
+  + String.length v
+
 let test_cross_instance_tier () =
   (* Two live caches over one directory — as with two daemons sharing a
      host tier.  Writes from either side are visible to the other via
-     disk, and concurrent writers never corrupt the index. *)
+     disk. *)
   with_temp_dir (fun dir ->
       let a = Cache.create ~persist_dir:dir () in
       let b = Cache.create ~persist_dir:dir () in
@@ -97,15 +107,16 @@ let test_cross_instance_tier () =
         (Cache.find b ka);
       Alcotest.(check (option string)) "a sees b's entry" (Some "written by b")
         (Cache.find a kb);
-      (* Overwrites append to the index; stats must count each key once,
-         at its latest size. *)
+      (* Overwrites replace the entry file; stats count each key once, at
+         the size of its current file (checksum header included). *)
       Cache.add a ~key:ka "rewritten by a, longer payload";
+      Cache.add b ~key:ka "rewritten by a, longer payload";
       match Cache.tier_stats a with
       | None -> Alcotest.fail "tier_stats on a persistent cache"
       | Some ts ->
           Alcotest.(check int) "two distinct keys on disk" 2 ts.Cache.tier_entries;
-          Alcotest.(check int) "latest sizes, not the sum of history"
-            (String.length "rewritten by a, longer payload" + String.length "written by b")
+          Alcotest.(check int) "current file sizes, not the sum of history"
+            (file_bytes "rewritten by a, longer payload" + file_bytes "written by b")
             ts.Cache.tier_bytes)
 
 let test_preload () =
@@ -125,29 +136,61 @@ let test_preload () =
       let s = Cache.stats fresh in
       Alcotest.(check int) "memory hit, no disk round-trip" 1 s.Cache.hits;
       Alcotest.(check int) "no disk hits" 0 s.Cache.disk_hits;
-      (* preload is idempotent and bounded by ?limit. *)
+      (* preload is idempotent. *)
       Alcotest.(check int) "already resident" 0 (Cache.preload fresh);
-      let capped = Cache.create ~persist_dir:dir () in
-      Alcotest.(check int) "limit honoured" 2 (Cache.preload ~limit:2 capped);
       (* A memory-only cache has no tier to preload. *)
       let mem = Cache.create () in
       Alcotest.(check int) "no tier, nothing loaded" 0 (Cache.preload mem);
       Alcotest.(check bool) "no tier stats" true (Cache.tier_stats mem = None))
 
-let test_index_healing () =
-  (* The index is a convenience; deleting it must not lose the tier.  A
-     new instance rebuilds it by scanning the content-addressed files. *)
+let test_preload_budget () =
+  (* Five equal-size entries with distinct mtimes, a budget of three: the
+     three newest are loaded, the newest most recently used. *)
   with_temp_dir (fun dir ->
       let writer = Cache.create ~persist_dir:dir () in
-      let k1 = Cache.key [ "heal"; "1" ] and k2 = Cache.key [ "heal"; "2" ] in
-      Cache.add writer ~key:k1 "one";
-      Cache.add writer ~key:k2 "two";
-      Sys.remove (Filename.concat dir "index");
-      let healed = Cache.create ~persist_dir:dir () in
-      Alcotest.(check int) "both entries recovered by scan" 2 (Cache.preload healed);
-      Alcotest.(check (option string)) "payload intact" (Some "one") (Cache.find healed k1);
-      Alcotest.(check bool) "index rewritten" true
-        (Sys.file_exists (Filename.concat dir "index")))
+      let keys = Array.init 5 (fun i -> Cache.key [ "aged"; string_of_int i ]) in
+      Array.iteri
+        (fun i k ->
+          Cache.add writer ~key:k (Printf.sprintf "payload-%d" i);
+          let t = 1_000_000. +. float_of_int i in
+          Unix.utimes (Filename.concat dir k) t t)
+        keys;
+      let entry_bytes = String.length keys.(0) + String.length "payload-0" in
+      let r = Cache.create ~max_bytes:(3 * entry_bytes) ~persist_dir:dir () in
+      Alcotest.(check int) "three newest fit" 3 (Cache.preload r);
+      Alcotest.(check int) "budget full" (3 * entry_bytes) (Cache.stats r).Cache.bytes;
+      (* Two fresh entries evict the two least recently used: entries 2 and
+         3, leaving entry 4 — the newest — resident. *)
+      Cache.add r ~key:(Cache.key [ "fresh"; "a" ]) "payload-a";
+      Cache.add r ~key:(Cache.key [ "fresh"; "b" ]) "payload-b";
+      Alcotest.(check (option string)) "newest survives" (Some "payload-4")
+        (Cache.find r keys.(4));
+      Alcotest.(check int) "newest was in memory" 1 (Cache.stats r).Cache.hits;
+      Alcotest.(check (option string)) "older comes from disk" (Some "payload-3")
+        (Cache.find r keys.(3));
+      Alcotest.(check int) "older was evicted" 1 (Cache.stats r).Cache.disk_hits;
+      (* The oldest two were never loaded. *)
+      ignore (Cache.find r keys.(0));
+      Alcotest.(check int) "oldest was not preloaded" 2 (Cache.stats r).Cache.disk_hits)
+
+let test_stray_files_ignored () =
+  (* Only 32-hex entry names belong to the tier: an index left by an older
+     version and an in-flight temporary are neither counted nor loaded. *)
+  with_temp_dir (fun dir ->
+      let w = Cache.create ~persist_dir:dir () in
+      let k = Cache.key [ "only" ] in
+      Cache.add w ~key:k "the one entry";
+      write_file (Filename.concat dir "index") (k ^ " 13\n" ^ k ^ " 13\n");
+      write_file (Filename.concat dir ".tmp-123456") "eecs1 half-written";
+      (match Cache.tier_stats w with
+      | Some ts ->
+          Alcotest.(check int) "one entry counted" 1 ts.Cache.tier_entries;
+          Alcotest.(check int) "only its bytes" (file_bytes "the one entry")
+            ts.Cache.tier_bytes
+      | None -> Alcotest.fail "tier_stats on a persistent cache");
+      let r = Cache.create ~persist_dir:dir () in
+      Alcotest.(check int) "one entry loaded" 1 (Cache.preload r);
+      Alcotest.(check int) "nothing quarantined" 0 (Cache.stats r).Cache.quarantined)
 
 let test_clear () =
   let c = Cache.create () in
@@ -185,20 +228,6 @@ let test_concurrent_access () =
     (s.Cache.bytes <= s.Cache.max_bytes)
 
 (* ---- checksummed tier entries: corruption and quarantine ---- *)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-let index_lines dir =
-  In_channel.with_open_bin (Filename.concat dir "index") (fun ic ->
-      let n = ref 0 in
-      (try
-         while true do
-           ignore (input_line ic);
-           incr n
-         done
-       with End_of_file -> ());
-      !n)
 
 let test_truncated_entry_quarantined () =
   with_temp_dir (fun dir ->
@@ -254,41 +283,6 @@ let test_preload_quarantines_corrupt () =
         (Cache.find r (List.nth keys 0));
       Alcotest.(check (option string)) "victim is a plain miss" None (Cache.find r victim))
 
-let test_compact_index () =
-  with_temp_dir (fun dir ->
-      let c = Cache.create ~persist_dir:dir () in
-      let hot = Cache.key [ "rewritten" ] and cold = Cache.key [ "stable" ] in
-      Cache.add c ~key:cold "once";
-      for i = 1 to 5 do
-        Cache.add c ~key:hot (Printf.sprintf "v%d" i)
-      done;
-      (* The index is append-only: five rewrites left five lines. *)
-      Alcotest.(check int) "appends accumulate" 6 (index_lines dir);
-      Alcotest.(check int) "dead lines dropped" 4 (Cache.compact_index c);
-      Alcotest.(check int) "one line per live key" 2 (index_lines dir);
-      (* Compaction kept the newest write of the rewritten key. *)
-      let r = Cache.create ~persist_dir:dir () in
-      ignore (Cache.preload r);
-      Alcotest.(check (option string)) "newest value survives" (Some "v5") (Cache.find r hot);
-      Alcotest.(check (option string)) "singleton untouched" (Some "once") (Cache.find r cold);
-      Alcotest.(check int) "nothing left to drop" 0 (Cache.compact_index c))
-
-let test_preload_auto_compacts () =
-  with_temp_dir (fun dir ->
-      let c = Cache.create ~persist_dir:dir () in
-      let k = Cache.key [ "hot" ] in
-      (* Ten generations of one key: nine dead index lines, enough to
-         trip the automatic compaction threshold at preload time. *)
-      for i = 1 to 10 do
-        Cache.add c ~key:k (Printf.sprintf "gen-%d" i)
-      done;
-      Alcotest.(check int) "ten lines before" 10 (index_lines dir);
-      let r = Cache.create ~persist_dir:dir () in
-      Alcotest.(check int) "one distinct entry loaded" 1 (Cache.preload r);
-      Alcotest.(check int) "index compacted as a side effect" 1 (index_lines dir);
-      Alcotest.(check (option string)) "latest generation served" (Some "gen-10")
-        (Cache.find r k))
-
 let suite =
   ( "cache",
     [
@@ -299,7 +293,9 @@ let suite =
       Alcotest.test_case "disk persistence across restart" `Quick test_persistence;
       Alcotest.test_case "cross-instance shared tier" `Quick test_cross_instance_tier;
       Alcotest.test_case "preload warms a fresh instance" `Quick test_preload;
-      Alcotest.test_case "index healing after deletion" `Quick test_index_healing;
+      Alcotest.test_case "preload keeps the newest entries that fit" `Quick
+        test_preload_budget;
+      Alcotest.test_case "stray files in the tier ignored" `Quick test_stray_files_ignored;
       Alcotest.test_case "clear" `Quick test_clear;
       Alcotest.test_case "concurrent domains" `Quick test_concurrent_access;
       Alcotest.test_case "truncated tier entry quarantined" `Quick
@@ -308,7 +304,4 @@ let suite =
         test_bitflip_entry_quarantined;
       Alcotest.test_case "preload quarantines corrupt entries" `Quick
         test_preload_quarantines_corrupt;
-      Alcotest.test_case "index compaction" `Quick test_compact_index;
-      Alcotest.test_case "preload auto-compacts a bloated index" `Quick
-        test_preload_auto_compacts;
     ] )

@@ -49,7 +49,20 @@ let test_json_errors () =
       match Json.parse s with
       | Ok _ -> Alcotest.failf "should reject %S" s
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}"; "nan" ]
+    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}"; "nan" ];
+  (* Nesting is bounded: a line of a million '[' fails fast instead of
+     recursing a million frames deep. *)
+  let deep = String.make 1_000_000 '[' in
+  let t0 = Unix.gettimeofday () in
+  (match Json.parse deep with
+  | Ok _ -> Alcotest.fail "should reject a million-deep array"
+  | Error _ -> ());
+  Alcotest.(check bool) "deep nesting rejected in under 0.5 s" true
+    (Unix.gettimeofday () -. t0 < 0.5);
+  (* Nesting within the bound still parses. *)
+  match Json.parse (String.make 100 '[' ^ String.make 100 ']') with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "100-deep array rejected: %s" e
 
 let test_json_raw_compact () =
   let multi = "{\n  \"x\": 1\n}" in
@@ -114,8 +127,8 @@ let test_protocol_rejects () =
 
 let sock_counter = ref 0
 
-let with_server ?(shards = 1) ?(domains = 1) ?(max_pending = 8) ?throttle_pending
-    ?shed_pending ?backlog ?default_deadline_s f =
+let with_server ?(shards = 1) ?(domains = 1) ?(max_pending = 8) ?default_deadline_s
+    ?cache_dir f =
   incr sock_counter;
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -129,10 +142,8 @@ let with_server ?(shards = 1) ?(domains = 1) ?(max_pending = 8) ?throttle_pendin
       shards;
       domains;
       max_pending;
-      throttle_pending;
-      shed_pending;
-      backlog;
       default_deadline_s;
+      cache_dir;
       shutdown_grace_s = 1.;
     }
   in
@@ -298,6 +309,53 @@ let test_e2e_not_found_and_bad_line () =
             && Json.member "status" ok = Some (Json.String "ok")
         | _ -> false))
 
+let test_e2e_deep_nesting () =
+  with_server (fun sock ->
+      (* A million-deep request line is refused quickly by the bounded
+         parser, and the connection keeps working. *)
+      let c = Client.connect ~retries:100 (`Unix sock) in
+      let bad = Client.request_line c (String.make 1_000_000 '[') in
+      let ok = Client.request_line c "{\"cmd\":\"ping\"}" in
+      Client.close c;
+      (match Json.parse bad with
+      | Ok j -> check_error j "bad_request"
+      | Error e -> Alcotest.failf "bad response: %s" e);
+      match Json.parse ok with
+      | Ok j -> check_status j "ok"
+      | Error e -> Alcotest.failf "bad response: %s" e)
+
+let test_e2e_tier_preloaded () =
+  (* A daemon started over a tier another daemon filled answers the very
+     first request from memory. *)
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ee_serve_tier_%d" (Unix.getpid ()))
+  in
+  let rm_tree () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  rm_tree ();
+  Fun.protect ~finally:rm_tree (fun () ->
+      let line = "{\"cmd\":\"synth\",\"bench\":\"b01\",\"vectors\":7}" in
+      with_server ~cache_dir:dir (fun sock ->
+          let r = send sock line in
+          Alcotest.(check (option bool)) "filling daemon computes" (Some false)
+            (Option.bind (Json.member "cached" r) Json.to_bool));
+      with_server ~cache_dir:dir (fun sock ->
+          let r = send sock line in
+          check_status r "ok";
+          Alcotest.(check (option bool)) "first request of the second daemon is cached"
+            (Some true)
+            (Option.bind (Json.member "cached" r) Json.to_bool);
+          let s = send sock "{\"cmd\":\"stats\"}" in
+          Alcotest.(check (option int)) "served from memory, not disk" (Some 0)
+            (Option.bind (get s [ "result"; "cache"; "disk_hits" ]) Json.to_int);
+          Alcotest.(check (option int)) "tier lists one entry" (Some 1)
+            (Option.bind (get s [ "result"; "cache"; "tier_entries" ]) Json.to_int)))
+
 let test_e2e_overload () =
   with_server ~domains:1 ~max_pending:1 (fun sock ->
       (* Fill the single admission slot with a slow request on one
@@ -371,41 +429,31 @@ let test_e2e_shutdown () =
       Alcotest.(check bool) "server stopped accepting" true gone)
   (* with_server joins the server domain, proving the loop terminated. *)
 
-let test_tier_thresholds () =
+let test_admission_defaults () =
+  (* One admission bound, and a listen backlog that never drops below it. *)
   let cfg = { Server.default_config with Server.max_pending = 8 } in
-  Alcotest.(check (pair int int)) "defaults at half and three-quarters" (4, 6)
-    (Server.tier_thresholds cfg);
-  Alcotest.(check (pair int int)) "explicit watermarks" (2, 5)
-    (Server.tier_thresholds
-       { cfg with Server.throttle_pending = Some 2; shed_pending = Some 5 });
-  Alcotest.(check (pair int int)) "clamped into 1 <= t <= s <= max_pending" (1, 8)
-    (Server.tier_thresholds
-       { cfg with Server.throttle_pending = Some 0; shed_pending = Some 99 });
-  Alcotest.(check (pair int int)) "shed never below throttle" (6, 6)
-    (Server.tier_thresholds
-       { cfg with Server.throttle_pending = Some 6; shed_pending = Some 2 });
+  Alcotest.(check int) "default bound is four requests per worker"
+    (4 * Server.default_config.Server.domains)
+    Server.default_config.Server.max_pending;
   Alcotest.(check int) "backlog defaults to at least the admission bound" 64
     (Server.backlog_of cfg);
   Alcotest.(check int) "large queues widen the backlog" 200
-    (Server.backlog_of { cfg with Server.max_pending = 200 });
-  Alcotest.(check int) "explicit backlog wins" 4
-    (Server.backlog_of { cfg with Server.backlog = Some 4 })
+    (Server.backlog_of { cfg with Server.max_pending = 200 })
 
-let test_e2e_tier_ladder () =
-  (* One worker, three admission slots, watermarks at 1 (throttle) and 2
-     (shed).  A single pipelined batch walks the whole ladder: the sleep
-     holds the worker so in-flight counts cannot drain mid-batch. *)
-  with_server ~domains:1 ~max_pending:3 ~throttle_pending:1 ~shed_pending:2
-    (fun sock ->
+let test_e2e_admission_bound () =
+  (* One worker, three admission slots.  A single pipelined batch is
+     admitted up to the bound and answered [overloaded] past it — [sleep]
+     and [synth] alike; the sleep holds the worker so in-flight counts
+     cannot drain mid-batch. *)
+  with_server ~domains:1 ~max_pending:3 (fun sock ->
       let lines =
         [
           "{\"cmd\":\"sleep\",\"seconds\":0.6,\"id\":0}";
-          "{\"cmd\":\"sleep\",\"seconds\":0.1,\"id\":1}";
-          "{\"cmd\":\"synth\",\"bench\":\"b02\",\"vectors\":5,\"id\":2}";
+          "{\"cmd\":\"synth\",\"bench\":\"b02\",\"vectors\":5,\"id\":1}";
+          "{\"cmd\":\"sleep\",\"seconds\":0.1,\"id\":2}";
           "{\"cmd\":\"sleep\",\"seconds\":0.1,\"id\":3}";
           "{\"cmd\":\"synth\",\"bench\":\"b03\",\"vectors\":5,\"id\":4}";
-          "{\"cmd\":\"synth\",\"bench\":\"b04\",\"vectors\":5,\"id\":5}";
-          "{\"cmd\":\"ping\",\"id\":6}";
+          "{\"cmd\":\"ping\",\"id\":5}";
         ]
       in
       let c = Client.connect ~retries:100 (`Unix sock) in
@@ -415,42 +463,39 @@ let test_e2e_tier_ladder () =
         | Ok j -> j
         | Error e -> Alcotest.failf "bad response: %s" e
       in
-      (* id 0: first sleep admitted — occupies the worker. *)
+      let check_overloaded j =
+        check_error j "overloaded";
+        Alcotest.(check bool) "retry_after_s > 0" true
+          (match Option.bind (Json.member "retry_after_s" j) Json.to_float with
+          | Some s -> s > 0.
+          | None -> false)
+      in
+      (* ids 0-2: admitted, filling the three slots. *)
       check_status (resp ()) "ok";
-      (* id 1: past the throttle watermark, with a retry hint. *)
-      let throttled = resp () in
-      check_error throttled "throttled";
-      Alcotest.(check bool) "retry_after_s > 0" true
-        (match Option.bind (Json.member "retry_after_s" throttled) Json.to_float with
-        | Some s -> s > 0.
-        | None -> false);
-      (* id 2: cacheable work rides through the throttle/shed tiers. *)
       check_status (resp ()) "ok";
-      (* id 3: non-cacheable work past the shed watermark. *)
-      check_error (resp ()) "shed";
-      (* id 4: cacheable, still under max_pending. *)
       check_status (resp ()) "ok";
-      (* id 5: the queue is full — even cacheable work is rejected. *)
-      check_error (resp ()) "overloaded";
-      (* id 6: ping is answered inline regardless of load. *)
+      (* id 3: a sleep past the bound; id 4: a synth past the bound. *)
+      check_overloaded (resp ());
+      check_overloaded (resp ());
+      (* id 5: ping is answered inline regardless of load. *)
       check_status (resp ()) "ok";
       Client.close c;
-      (* The b02 result landed in the cache despite the storm around it. *)
+      (* The admitted b02 fill landed in the cache despite the storm. *)
       let r = send sock "{\"cmd\":\"synth\",\"bench\":\"b02\",\"vectors\":5}" in
       check_status r "ok";
       Alcotest.(check (option bool)) "b02 cached" (Some true)
         (Option.bind (Json.member "cached" r) Json.to_bool);
-      (* Stats expose per-tier counters. *)
+      (* Stats count admissions and rejections, and nothing else. *)
       let s = send sock "{\"cmd\":\"stats\"}" in
-      let tier name =
-        match Option.bind (get s [ "result"; "tiers"; name ]) Json.to_int with
-        | Some n -> n
-        | None -> Alcotest.failf "missing tier counter %s" name
-      in
-      Alcotest.(check bool) "ok tier counted" true (tier "ok" >= 3);
-      Alcotest.(check bool) "throttled counted" true (tier "throttled" >= 1);
-      Alcotest.(check bool) "shed counted" true (tier "shed" >= 1);
-      Alcotest.(check bool) "overloaded counted" true (tier "overloaded" >= 1))
+      Alcotest.(check bool) "only ok and overloaded counters" true
+        (match get s [ "result"; "tiers" ] with
+        | Some (Json.Obj fields) -> List.map fst fields = [ "ok"; "overloaded" ]
+        | _ -> false);
+      let tier name = Option.bind (get s [ "result"; "tiers"; name ]) Json.to_int in
+      (* The repeat b02 is answered from the cache inline, without
+         passing admission. *)
+      Alcotest.(check (option int)) "three admitted" (Some 3) (tier "ok");
+      Alcotest.(check (option int)) "two overloaded" (Some 2) (tier "overloaded"))
 
 let test_e2e_pipelined_batch_order () =
   (* Ten requests in one write; the ten responses come back in send order
@@ -482,7 +527,7 @@ let test_e2e_pipelined_batch_order () =
 let test_e2e_multi_shard () =
   (* Three shard loops behind one acceptor: connections land round-robin,
      every one is served, and stats report per-shard request counts. *)
-  with_server ~shards:3 ~domains:2 ~max_pending:16 ~backlog:4 (fun sock ->
+  with_server ~shards:3 ~domains:2 ~max_pending:16 (fun sock ->
       let conns = List.init 6 (fun _ -> Client.connect ~retries:100 (`Unix sock)) in
       List.iteri
         (fun i c ->
@@ -611,7 +656,6 @@ let test_fleet_retry_exhaustion () =
           Fleet_client.max_attempts = 3;
           base_backoff_s = 0.001;
           max_backoff_s = 1.0;
-          jitter = 0.25;
           recv_timeout_s = Some 5.;
         }
       in
@@ -635,7 +679,7 @@ let test_fleet_retry_exhaustion () =
       Fleet_client.close fc)
 
 let test_fleet_retry_then_success () =
-  let reject = {|{"status":"error","error":"throttled","retry_after_s":0.02}|} in
+  let reject = {|{"status":"error","error":"overloaded","retry_after_s":0.02}|} in
   let ok = {|{"status":"ok","result":{}}|} in
   with_canned_server [ reject; ok ] (fun sock ->
       let sleeps = ref [] in
@@ -936,14 +980,17 @@ let suite =
       Alcotest.test_case "e2e: inline BLIF with .subckt" `Quick test_e2e_inline_blif_subckt;
       Alcotest.test_case "e2e: search section + cache key" `Quick test_e2e_search_section;
       Alcotest.test_case "e2e: not_found / bad_request" `Quick test_e2e_not_found_and_bad_line;
+      Alcotest.test_case "e2e: deeply nested line is a bad_request" `Quick
+        test_e2e_deep_nesting;
+      Alcotest.test_case "e2e: tier preloaded at startup" `Quick test_e2e_tier_preloaded;
       Alcotest.test_case "e2e: overload rejects, never queues unboundedly" `Quick
         test_e2e_overload;
       Alcotest.test_case "e2e: per-request deadline" `Quick test_e2e_deadline;
       Alcotest.test_case "e2e: server-default deadline" `Quick test_e2e_default_deadline;
       Alcotest.test_case "e2e: clean shutdown" `Quick test_e2e_shutdown;
       Alcotest.test_case "admission watermarks and backlog defaults" `Quick
-        test_tier_thresholds;
-      Alcotest.test_case "e2e: graded back-pressure ladder" `Quick test_e2e_tier_ladder;
+        test_admission_defaults;
+      Alcotest.test_case "e2e: graded back-pressure ladder" `Quick test_e2e_admission_bound;
       Alcotest.test_case "e2e: pipelined batch keeps response order" `Quick
         test_e2e_pipelined_batch_order;
       Alcotest.test_case "e2e: multi-shard round-robin" `Quick test_e2e_multi_shard;
